@@ -216,3 +216,29 @@ def test_live_searcher_survives_online_compaction(ray_session, tmp_path):
         assert s_live.search(q["query"], k=10, method="exact") == fresh.search(
             q["query"], k=10, method="exact"
         )
+
+
+def test_dropped_file_forces_full_rebuild(ray_session, tmp_path):
+    """Dropping the last file of a two-file shard group keeps every group
+    id alive, but a delta generation could only cover the files still
+    there: the dropped file's postings would stay live in gen 0.  The wave
+    must be rebuilt from scratch instead."""
+    pages = write_pages(tmp_path / "pages", 400, seed=42, rows_per_file=100)
+    cfg = BuildConfig(
+        num_waves=1, shard_group_size=2, partitions_per_wave=2, tokenize_concurrency=2
+    )
+    idx = tmp_path / "idx"
+    build_index(pages, idx, cfg)
+    sorted(pages.glob("part-*.parquet"))[3].unlink()
+    manifest = build_index(pages, idx, cfg)
+    for w, gens in manifest["wave_gens"].items():
+        assert [g["gen"] for g in gens] == [0], w
+        assert gens[0]["covers_files"] == [0, 1, 2], w
+
+    fresh = tmp_path / "idx_fresh"
+    build_index(pages, fresh, cfg)
+    s_incr, s_fresh = Searcher(idx), Searcher(fresh)
+    for q in generate_queries(40, seed=7):
+        assert s_incr.search(q["query"], k=10, method="exact") == s_fresh.search(
+            q["query"], k=10, method="exact"
+        ), q["query"]

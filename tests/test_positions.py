@@ -285,6 +285,31 @@ def test_positions_shrunk_input_forces_full_rebuild(ray_session, tmp_path_factor
     assert set(after["doc_id"]) == kept
 
 
+def test_positions_config_change_forces_full_rebuild(ray_session, tmp_path_factory):
+    """Rebuilding over unchanged input with another ``num_waves`` (what the
+    ``positions --waves`` CLI does) must replace the old layout: a reader
+    of the new config hashes every term to wave 0, so a kept two-wave
+    layout loses every term of wave 1."""
+    tmp = tmp_path_factory.mktemp("pos_cfg")
+    pages = write_pages(tmp / "pages", 300, seed=42, rows_per_file=100)
+
+    def cfg(waves):
+        return PositionsConfig(num_waves=waves, tokenize_concurrency=2)
+
+    idx_dir = tmp / "idx"
+    build_positions_index(pages, idx_dir, cfg(2))
+    man = build_positions_index(pages, idx_dir, cfg(1))
+    gens = {w: [g["gen"] for g in gs] for w, gs in man["pos_wave_gens"].items()}
+    assert gens == {"0": [0]}
+    fresh_dir = tmp / "idx_fresh"
+    build_positions_index(pages, fresh_dir, cfg(1))
+    rebuilt, fresh = PositionsIndex(idx_dir), PositionsIndex(fresh_dir)
+    for ph, n_docs in [("body html", 300), ("needledften", 10)]:
+        got = rebuilt.phrase_occurrences(ph)
+        assert got.num_rows == n_docs, ph
+        assert got == fresh.phrase_occurrences(ph), ph
+
+
 def test_phrase_and_near_respect_deleted_doc_ids(pos_index, pos_oracle):
     """deleted_doc_ids filtering (companion of index/deletes.py tombstones):
     deleted docs vanish from phrase/NEAR results, others are untouched."""
@@ -417,7 +442,7 @@ def test_shared_pass_survives_incremental_append(ray_session, tmp_path_factory):
 
 
 def test_shared_pass_build_kill_resume(ray_session, pages_1k, tmp_path_factory):
-    """Crash-safety of the tokenized_source path: a killed
+    """Crash-safety of the shared-tokenize-pass path: a killed
     build_positions_from_index run resumes to a bit-equivalent sidecar."""
     from vexor_ray.index.build import BuildConfig, build_index
     from vexor_ray.index.manifest import InjectedFault

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +56,13 @@ from ..stages.docids import read_with_doc_ids
 from ..stages.extract import make_extract_fn
 from ..stages.tokenize import TokenizeDocs
 from . import codec
-from .manifest import BuildManifest, PartitionRecord
+from .deletes import gc_delete_objects, read_ledger, refresh_resolution
+from .manifest import (
+    BuildManifest,
+    PartitionRecord,
+    load_manifest,
+    protected_data_dirs,
+)
 from .storage import Store, attempt_dir, attempt_pid, gc_stale_attempts
 
 
@@ -149,6 +156,29 @@ class BuildConfig:
 # --------------------------------------------------------------------------
 
 
+def term_hashes(
+    flat_terms: pa.Array, num_waves: int, wave: int | None
+) -> tuple[np.ndarray, pa.Array | None]:
+    """Per-posting term hashes + the mask of rows in term-hash ``wave``
+    (None: every row is kept)."""
+    # th = deterministic uint64 term hash: the shuffle/sort key (uint64
+    # compares are ~an order of magnitude cheaper than term strings) and the
+    # query layer's row-group pruning key; also routes waves (th % W).
+    # ALL per-term math happens in dictionary space (Zipfian streams have
+    # ~1% uniques): hash + wave-membership once per distinct term, then two
+    # cheap gathers — measured ~30× less hashing work than per-posting.
+    de = pc.dictionary_encode(flat_terms)
+    uniq = np.asarray(de.dictionary.to_numpy(zero_copy_only=False), dtype=object)
+    hu = hash_terms(uniq)
+    idx = de.indices.to_numpy()
+    # int64 view for the gather: numpy fancy-indexing a uint64 table takes a
+    # pathologically slow path on this platform (measured ~45×)
+    th = hu.view(np.int64)[idx].view(np.uint64)
+    if wave is None or num_waves <= 1:
+        return th, None
+    return th, pa.array(((hu % np.uint64(num_waves)) == np.uint64(wave))[idx])
+
+
 def explode_postings(
     batch: pa.Table,
     *,
@@ -185,21 +215,9 @@ def explode_postings(
     dls = pc.take(batch.column("doc_len"), parent)
     tfs = pc.list_flatten(batch.column(tfs_col))
 
-    # th = deterministic uint64 term hash: the shuffle/sort key (uint64
-    # compares are ~an order of magnitude cheaper than term strings) and the
-    # query layer's row-group pruning key; also routes waves (th % W).
-    # ALL per-term math happens in dictionary space (Zipfian streams have
-    # ~1% uniques): hash + wave-membership once per distinct term, then two
-    # cheap gathers — measured ~30× less hashing work than per-posting.
     if isinstance(flat_terms, pa.ChunkedArray):
         flat_terms = flat_terms.combine_chunks()
-    de = pc.dictionary_encode(flat_terms)
-    uniq = np.asarray(de.dictionary.to_numpy(zero_copy_only=False), dtype=object)
-    hu = hash_terms(uniq)
-    idx = de.indices.to_numpy()
-    # int64 view for the gather: numpy fancy-indexing a uint64 table takes a
-    # pathologically slow path on this platform (measured ~45×)
-    th = hu.view(np.int64)[idx].view(np.uint64)
+    th, keep = term_hashes(flat_terms, num_waves, wave)
     out = pa.table(
         {
             "th": pa.array(th, type=pa.uint64()),
@@ -212,10 +230,7 @@ def explode_postings(
             "dl": pc.cast(dls, pa.uint32()),
         }
     )
-    if wave is not None and num_waves > 1:
-        keep_uniq = (hu % np.uint64(num_waves)) == np.uint64(wave)
-        out = out.filter(pa.array(keep_uniq[idx]))
-    return out
+    return out if keep is None else out.filter(keep)
 
 
 _CHUNK_SCHEMA = pa.schema(
@@ -287,6 +302,64 @@ def _run_relative_offsets(
     return values, list_off
 
 
+def key_runs(batch: pa.Table) -> tuple:
+    """Run structure of a (th, salt)-sorted block:
+    ``(term_arr, ths, salts, run_starts, run_lengths, run_ids)``."""
+    # the term column stays an ARROW array end to end: materializing ~1M
+    # Python str objects per call was the encoder's steady-state fault
+    # source (pymalloc returns emptied 256 KB arenas to the OS via munmap,
+    # so every call re-faulted ~50 MB of arena pages — measured 12.8k minor
+    # faults/call, removed by the Arrow-native compare/take below)
+    n = batch.num_rows
+    term_col = batch.column("term")
+    term_arr = term_col.chunk(0) if isinstance(term_col, pa.ChunkedArray) else term_col
+    ths = batch.column("th").to_numpy()
+    salts = batch.column("salt").to_numpy()
+    # run boundaries: the term equality test additionally splits hash
+    # collisions — colliding terms may interleave, fragmenting into extra
+    # chunks, which the query layer merges
+    change = (
+        (ths[1:] != ths[:-1])
+        | (salts[1:] != salts[:-1])
+        | pc.not_equal(
+            term_arr.slice(1), term_arr.slice(0, n - 1)
+        ).to_numpy(zero_copy_only=False)
+    )
+    run_starts = np.concatenate([[0], np.flatnonzero(change) + 1]).astype(np.int64)
+    run_lengths = np.diff(np.concatenate([run_starts, [n]]))
+    run_ids = np.repeat(np.arange(run_starts.size), run_lengths)
+    return term_arr, ths, salts, run_starts, run_lengths, run_ids
+
+
+def run_key_columns(term_arr, ths, salts, run_starts, run_lengths) -> dict:
+    """The (th, term, salt, n_postings) key columns, one row per run."""
+    return {
+        "th": pa.array(ths[run_starts].astype(np.uint64), type=pa.uint64()),
+        "term": term_arr.take(pa.array(run_starts, type=pa.int64())),
+        "salt": pa.array(salts[run_starts].astype(np.uint64), type=pa.uint64()),
+        "n_postings": pa.array(run_lengths.astype(np.uint64), type=pa.uint64()),
+    }
+
+
+def run_blobs(buf, byte_off: np.ndarray, elem_bounds: np.ndarray) -> pa.Array:
+    """One LargeBinary per run, sliced out of one encoded buffer by the byte
+    offsets of the runs' element bounds (n_runs + 1)."""
+    bounds = byte_off[elem_bounds]
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(),
+        bounds.size - 1,
+        [None, pa.py_buffer(bounds.tobytes()), pa.py_buffer(buf)],
+    )
+
+
+def varint_byte_offsets(stream: np.ndarray) -> tuple:
+    """ONE varint pass: (buffer, per-element byte offsets, length n + 1)."""
+    buf, sizes = codec.varint_encode_with_sizes(stream)
+    byte_off = np.zeros(stream.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=byte_off[1:])
+    return buf, byte_off
+
+
 def encode_runs(
     batch: pa.Table,
     *,
@@ -309,35 +382,14 @@ def encode_runs(
     """
     batch = batch.combine_chunks()
     n = batch.num_rows
+    schema = _CHUNK_SCHEMA_IMPACT if impact else _CHUNK_SCHEMA
     if n == 0:
-        return (_CHUNK_SCHEMA_IMPACT if impact else _CHUNK_SCHEMA).empty_table()
-    # the term column stays an ARROW array end to end: materializing ~1M
-    # Python str objects per call was the encoder's steady-state fault
-    # source (pymalloc returns emptied 256 KB arenas to the OS via munmap,
-    # so every call re-faulted ~50 MB of arena pages — measured 12.8k minor
-    # faults/call, removed by the Arrow-native compare/take below)
-    term_col = batch.column("term")
-    term_arr = term_col.chunk(0) if isinstance(term_col, pa.ChunkedArray) else term_col
-    ths = batch.column("th").to_numpy()
-    salts = batch.column("salt").to_numpy()
+        return schema.empty_table()
+    term_arr, ths, salts, run_starts, run_lengths, run_ids = key_runs(batch)
+    n_runs = run_starts.size
     doc_ids = batch.column("doc_id").to_numpy()
     tfs = batch.column("tf").to_numpy()
     dls = batch.column("dl").to_numpy()
-
-    # run boundaries (input sorted by (th, salt); the term equality test
-    # additionally splits hash collisions — colliding terms may interleave,
-    # fragmenting into extra chunks, which the query layer merges)
-    change = (
-        (ths[1:] != ths[:-1])
-        | (salts[1:] != salts[:-1])
-        | pc.not_equal(
-            term_arr.slice(1), term_arr.slice(0, n - 1)
-        ).to_numpy(zero_copy_only=False)
-    )
-    run_starts = np.concatenate([[0], np.flatnonzero(change) + 1]).astype(np.int64)
-    n_runs = run_starts.size
-    run_lengths = np.diff(np.concatenate([run_starts, [n]]))
-    run_ids = np.repeat(np.arange(n_runs), run_lengths)
 
     # docID-ascending within each run (docIDs are unique per run)
     order = np.lexsort((doc_ids, run_ids))
@@ -363,57 +415,35 @@ def encode_runs(
     comp = tf_f * (k1 + 1.0) / (tf_f + k1 * (1.0 - b + b * dl_f / avg_doc_len))
     block_ub = codec.ub_float32(np.maximum.reduceat(comp, block_starts))
 
+    columns = run_key_columns(term_arr, ths, salts, run_starts, run_lengths)
+
     # one codec pass per stream; per-run/per-block layout from size prefix
     # sums.  For pfor the sizes are per BLOCK, expanded to a per-value
     # byte_off that is exact at every block/run boundary — the only indices
     # _run_relative_offsets reads.
-    out_cols: dict[str, pa.Array] = {}
-    blob_names = {"doc_blob": deltas, "tf_blob": tf_s, "dl_blob": dl_s}
-    off_names = {"doc_blob": "doc_off", "tf_blob": "tf_off", "dl_blob": "dl_off"}
-    block_m = block_ends - block_starts
-    for blob_name, stream in blob_names.items():
-        if posting_codec == codec.CODEC_PFOR:
-            buf, blk_sizes = codec.pfor_encode_blocks(
-                stream, block_starts, block_ends
-            )
+    def put_stream(prefix: str, stream: np.ndarray, pfor: bool = False) -> None:
+        if pfor:
+            buf, blk_sizes = codec.pfor_encode_blocks(stream, block_starts, block_ends)
             blk_off = np.zeros(block_starts.size + 1, dtype=np.int64)
             np.cumsum(blk_sizes, out=blk_off[1:])
             byte_off = np.zeros(n + 1, dtype=np.int64)
-            byte_off[:n] = np.repeat(blk_off[:-1], block_m)
+            byte_off[:n] = np.repeat(blk_off[:-1], block_ends - block_starts)
             byte_off[n] = blk_off[-1]
         else:
-            buf, sizes = codec.varint_encode_with_sizes(stream)
-            byte_off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=byte_off[1:])
-        run_byte_bounds = byte_off[run_bounds]
-        out_cols[blob_name] = pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(),
-            n_runs,
-            [None, pa.py_buffer(run_byte_bounds.tobytes()), pa.py_buffer(buf)],
-        )
+            buf, byte_off = varint_byte_offsets(stream)
+        columns[f"{prefix}_blob"] = run_blobs(buf, byte_off, run_bounds)
         values, list_off = _run_relative_offsets(
             byte_off, run_starts, block_starts, block_run, blocks_per_run, n
         )
-        out_cols[off_names[blob_name]] = _offsets_list_array(
-            values, list_off, pa.uint32()
-        )
+        columns[f"{prefix}_off"] = _offsets_list_array(values, list_off, pa.uint32())
 
+    pfor = posting_codec == codec.CODEC_PFOR
+    for prefix, stream in (("doc", deltas), ("tf", tf_s), ("dl", dl_s)):
+        put_stream(prefix, stream, pfor)
     blk_list_off = np.zeros(n_runs + 1, dtype=np.int64)
     np.cumsum(blocks_per_run, out=blk_list_off[1:])
-    columns = {
-        "th": pa.array(ths[run_starts].astype(np.uint64), type=pa.uint64()),
-        "term": term_arr.take(pa.array(run_starts, type=pa.int64())),
-        "salt": pa.array(salts[run_starts].astype(np.uint64), type=pa.uint64()),
-        "n_postings": pa.array(run_lengths.astype(np.uint64), type=pa.uint64()),
-        "doc_blob": out_cols["doc_blob"],
-        "tf_blob": out_cols["tf_blob"],
-        "dl_blob": out_cols["dl_blob"],
-        "doc_off": out_cols["doc_off"],
-        "tf_off": out_cols["tf_off"],
-        "dl_off": out_cols["dl_off"],
-        "block_last": _offsets_list_array(block_last, blk_list_off, pa.uint64()),
-        "block_ub": _offsets_list_array(block_ub, blk_list_off, pa.float32()),
-    }
+    columns["block_last"] = _offsets_list_array(block_last, blk_list_off, pa.uint64())
+    columns["block_ub"] = _offsets_list_array(block_ub, blk_list_off, pa.float32())
     if impact:
         # impact permutation: run-major, then component DESC, then docID asc
         # (run_ids is valid for the doc-sorted arrays too: the doc-sort is
@@ -422,38 +452,11 @@ def encode_runs(
         # shared with the docID-ordered layout — same run lengths, same
         # fixed block size — so _run_relative_offsets is reused as-is.
         order_imp = np.lexsort((doc_s, -comp, run_ids))
-        comp_imp = comp[order_imp]
-        imp_streams = {
-            "imp_doc_blob": doc_s[order_imp],
-            "imp_tf_blob": tf_s[order_imp],
-            "imp_dl_blob": dl_s[order_imp],
-        }
-        imp_offs = {
-            "imp_doc_blob": "imp_doc_off",
-            "imp_tf_blob": "imp_tf_off",
-            "imp_dl_blob": "imp_dl_off",
-        }
-        for blob_name, stream in imp_streams.items():
-            buf, sizes = codec.varint_encode_with_sizes(stream)
-            byte_off = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(sizes, out=byte_off[1:])
-            run_byte_bounds = byte_off[run_bounds]
-            columns[blob_name] = pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(),
-                n_runs,
-                [None, pa.py_buffer(run_byte_bounds.tobytes()), pa.py_buffer(buf)],
-            )
-            values, list_off = _run_relative_offsets(
-                byte_off, run_starts, block_starts, block_run, blocks_per_run, n
-            )
-            columns[imp_offs[blob_name]] = _offsets_list_array(
-                values, list_off, pa.uint32()
-            )
-        imp_cmax = codec.ub_float32(np.maximum.reduceat(comp_imp, block_starts))
-        columns["imp_cmax"] = _offsets_list_array(
-            imp_cmax, blk_list_off, pa.float32()
-        )
-    return pa.table(columns)
+        for prefix, stream in (("doc", doc_s), ("tf", tf_s), ("dl", dl_s)):
+            put_stream(f"imp_{prefix}", stream[order_imp])
+        imp_cmax = codec.ub_float32(np.maximum.reduceat(comp[order_imp], block_starts))
+        columns["imp_cmax"] = _offsets_list_array(imp_cmax, blk_list_off, pa.float32())
+    return pa.table([columns[name] for name in schema.names], schema=schema)
 
 
 def compact_index(
@@ -479,93 +482,27 @@ def compact_index(
     committed, so the previously committed manifest stays fully readable
     at every instant — a kill at ANY point leaves either the old index or
     the new one, never a manifest pointing at deleted files.  Superseded
-    records/dirs are garbage-collected afterwards (idempotent: a kill
-    mid-cleanup is finished by the next compaction; orphan dirs are never
-    referenced and get overwritten by the atomic dir writer if their name
-    is ever reused).
+    records/dirs are garbage-collected afterwards
+    (``gc_superseded_generations``).
     """
     store = Store.resolve(out_dir, filesystem)
     if cfg is None:
         # recover the index's own build config from the committed manifest —
         # compacting with defaults could silently re-tokenize under
         # different settings
-        from .manifest import load_manifest
-
         recorded = dict(load_manifest(store)["config"])
         recorded.pop("term_hasher", None)
         cfg = BuildConfig(**recorded)
     result = build_index(
         source, store, cfg, compact=True, source_filesystem=source_filesystem
     )
-
-    # GC superseded generations — only AFTER the new manifest committed
-    manifest = BuildManifest(store)
-    all_recs = manifest.load_partitions()
-    by_wave: dict[int, list] = {}
-    for rec in all_recs.values():
-        if rec.stage == "segments":
-            by_wave.setdefault(rec.lineage.get("wave"), []).append(rec)
-    removed = False
-    # snapshot-referenced dirs survive for time-travel readers and expire
-    # with their snapshots (manifest.finalize sweep); the just-committed
-    # manifest is excluded — its partition list still carries the
-    # superseded generation records this loop is collecting
-    from .manifest import protected_data_dirs
-
-    protect = protected_data_dirs(store, exclude_current=True)
-    for recs in by_wave.values():
-        recs.sort(key=lambda r: r.lineage.get("gen", 0))
-        base = 0
-        for i, r in enumerate(recs):
-            if r.lineage.get("full") or r.lineage.get("gen", 0) == 0:
-                base = i
-        for r in recs[:base]:
-            # record first (so a half-done GC never resurrects the gen),
-            # then the now-unreferenced files — including the generation's
-            # paired term dictionary, which would otherwise orphan
-            manifest.delete_partition(r.key())
-            for d in _record_dirs(r):
-                if d not in protect:
-                    store.delete_dir_abs(d)
-            td = all_recs.get(f"termdict--{r.partition_id}")
-            if td is not None:
-                manifest.delete_partition(td.key())
-                for d in _record_dirs(td):
-                    if d not in protect:
-                        store.delete_dir_abs(d)
-            removed = True
-    if removed:
-        # refresh the manifest's informational partition list (waves /
-        # wave_gens / stats are unchanged — they already exclude the
-        # superseded generations)
-        from .manifest import load_manifest
-
-        man = load_manifest(store)
-        result = manifest.finalize(
-            config=man["config"],
-            stats=man["stats"],
-            extra={
-                k: man[k]
-                for k in man
-                if k not in ("format_version", "config", "stats", "partitions")
-            },
-        )
-    return result
+    # a superseded generation's paired term dictionary goes with it
+    return gc_superseded_generations(store, "segments", paired="termdict") or result
 
 
 # --------------------------------------------------------------------------
 # build driver
 # --------------------------------------------------------------------------
-
-
-def _effective_pool_size(requested: int) -> int:
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", requested + 1))
-    except Exception:
-        cpus = requested + 1
-    return max(1, min(requested, cpus - 1))
 
 
 def _encode_task_cpus(max_concurrent: int) -> float:
@@ -579,13 +516,16 @@ def _encode_task_cpus(max_concurrent: int) -> float:
     session_cpus/max_concurrent CPUs per task caps concurrency at the sweet
     spot while leaving the scheduler free to run other stages alongside.
     """
+    return max(1.0, int(_session_cpus(max_concurrent)) / max(1, max_concurrent))
+
+
+def _session_cpus(default: float) -> float:
     import ray
 
     try:
-        cpus = int(ray.cluster_resources().get("CPU", max_concurrent))
+        return float(ray.cluster_resources().get("CPU", default))
     except Exception:
-        cpus = max_concurrent
-    return max(1.0, cpus / max(1, max_concurrent))
+        return float(default)
 
 
 def _resolve_source(
@@ -724,6 +664,448 @@ def _column_sum(files: list[str], column: str, fs=None) -> int:
     return total
 
 
+def _attempt_names(rec: PartitionRecord) -> set[str]:
+    return {d.rsplit("/", 1)[-1] for d in _record_dirs(rec)}
+
+
+def _is_full(lineage: dict) -> bool:
+    # a FULL generation covers every group and supersedes all earlier
+    # generations (gen 0 is implicitly full)
+    return bool(lineage.get("full") or lineage.get("gen", 0) == 0)
+
+
+# --------------------------------------------------------------------------
+# generation engine: the resumable two-stage protocol of every inverted
+# structure (BM25 segments here, the positional sidecar in positions.py)
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class ShardGroup:
+    """A committed stage-1 checkpoint partition, as stage 2 plans with it."""
+
+    pid: str
+    fp: str  # fingerprint of the checkpoint OUTPUT (``checkpoint_group``)
+    file_indices: list[int]  # input-file indices: the lineage docID ranges
+    files: list[str]
+
+
+@dataclass
+class GenerationPlan:
+    wave: int
+    gen: int
+    full: bool
+    groups: list[ShardGroup]  # the groups this generation (re-)indexes
+    cfg_fp: str
+
+
+def group_plan(files: list[str], group_size: int) -> list[tuple]:
+    """``(pid, input files, input-file indices)`` of every shard group."""
+    return [
+        (
+            f"group-{i // group_size:05d}",
+            files[i : i + group_size],
+            list(range(i, min(i + group_size, len(files)))),
+        )
+        for i in range(0, len(files), group_size)
+    ]
+
+
+def checkpoint_group(rec: PartitionRecord, file_indices: list[int]) -> ShardGroup:
+    """Stage-2 view of a stage-1 record."""
+    # the fingerprint covers the record's OUTPUT files, not just its source:
+    # a purge (index/deletes.py) rewrites checkpoint files without touching
+    # the source, and generation planning must notice — otherwise a
+    # compacting build would skip "already full" waves whose generations
+    # still carry the purged docs' postings
+    files = sorted(rec.output_files)
+    fp = hashlib.sha1(
+        (rec.input_fingerprint + "|" + "|".join(files)).encode()
+    ).hexdigest()
+    return ShardGroup(rec.partition_id, fp, file_indices, files)
+
+
+def config_fingerprint(cfg) -> str:
+    # generations built under another config are never extended
+    d = cfg.public_dict()
+    d.pop("manifest_history", None)  # retention policy, not content
+    return hashlib.sha1(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+def tokenize_pool(requested: int, cpus: float) -> dict:
+    """``map_batches`` pool kwargs of the tokenize actors in a session of
+    ``cpus`` CPUs."""
+    # FIXED pool size: an autoscaling (1, N) pool ramps up too slowly to
+    # ever reach N within a stage, silently serializing the build.  Clamped
+    # below the session CPU count so the read, extract and write tasks
+    # (whole-CPU each) keep running alongside the pool.  A session without
+    # a CPU to spare (1 CPU) gives the actors only what is left after one
+    # CPU: a pool holding the only CPU starves its own input forever.
+    pool = max(1, min(requested, int(cpus) - 1))
+    if cpus >= pool + 1:
+        return {"concurrency": pool}
+    return {"concurrency": pool, "num_cpus": max(0.0, cpus - 1) / pool}
+
+
+def tokenize_groups(
+    store: Store,
+    manifest: BuildManifest,
+    stage: str,
+    files: list[str],
+    src_fs,
+    cfg,
+    tok_fp: str,
+    tokenizer_kwargs: dict,
+    *,
+    protect: set[str],
+    ledger_urls: list[str] | None = None,
+    extract_batch_size: int = 256,
+) -> list[ShardGroup]:
+    """Stage 1: read + extract + ``TokenizeDocs`` into one checkpoint
+    partition per shard group, skipping groups whose record matches the
+    source and ``tok_fp``; ``cfg`` supplies group, batch and pool sizes."""
+    pool_kw = tokenize_pool(
+        cfg.tokenize_concurrency, _session_cpus(cfg.tokenize_concurrency + 1)
+    )
+    groups: list[ShardGroup] = []
+    for pid, group, idxs in group_plan(files, cfg.shard_group_size):
+        fp = hashlib.sha1(
+            (file_fingerprint(group, src_fs) + tok_fp).encode()
+        ).hexdigest()
+        if manifest.is_done(stage, pid, fp):
+            # sweep attempt dirs a crashed run left before its commit
+            rec = manifest.load_partitions()[f"{stage}--{pid}"]
+            gc_stale_attempts(store, stage, pid, _attempt_names(rec), protect)
+            groups.append(checkpoint_group(rec, idxs))
+            continue
+        t0 = time.perf_counter()
+        read_cols = ["url", "text"] if cfg.pre_extracted else ["url", "html"]
+        ds = read_with_doc_ids(group, read_cols, file_indices=idxs, filesystem=src_fs)
+        if ledger_urls:
+            ds = ds.map_batches(
+                _drop_deleted_urls,
+                fn_kwargs={"deleted_urls": ledger_urls},
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+        if not cfg.pre_extracted:
+            ds = ds.map_batches(
+                make_extract_fn(cfg.char_limit),
+                batch_format="pyarrow",
+                batch_size=extract_batch_size,
+                zero_copy_batch=True,
+            )
+        else:
+            # pre-extracted inputs get the same normalize-and-drop-empty the
+            # extraction path applies (refimpl.oracle:66-72 parity): without
+            # it, whitespace-only rows survive as doc_len=0 ghosts and skew
+            # doc_count / avg_doc_len / idf vs the oracle
+            ds = ds.map_batches(
+                _normalize_pre_extracted,
+                batch_format="pyarrow",
+                zero_copy_batch=True,
+            )
+        ds = ds.map_batches(
+            TokenizeDocs,
+            fn_constructor_kwargs=tokenizer_kwargs,
+            batch_format="pyarrow",
+            batch_size=cfg.tokenize_batch_size,
+            zero_copy_batch=True,
+            **pool_kw,
+        )
+        out_files, dirname = _attempt_dir_write(store, ds, stage, pid)
+        rec = PartitionRecord(
+            stage=stage,
+            partition_id=pid,
+            input_fingerprint=fp,
+            output_files=out_files,
+            metrics={
+                "rows_in": _parquet_rows(group, src_fs),
+                "rows_out": _parquet_rows(out_files, store.fs),
+                "tokens": _column_sum(out_files, "doc_len", store.fs),
+                "wall_s": round(time.perf_counter() - t0, 3),
+            },
+            lineage={"input_files": group, "config": cfg.public_dict()},
+        )
+        manifest.commit_partition(rec)
+        gc_stale_attempts(store, stage, pid, {dirname}, protect)
+        groups.append(checkpoint_group(rec, idxs))
+    # drop attempt dirs of groups outside the current input plan
+    pids = {g.pid for g in groups}
+    for name in store.subdirs(stage):
+        if attempt_pid(name) not in pids and store.path(stage, name) not in protect:
+            store.delete_dir(stage, name)
+    return groups
+
+
+def plan_generation(
+    store: Store,
+    manifest: BuildManifest,
+    stage: str,
+    wave: int,
+    groups: list[ShardGroup],
+    cfg_fp: str,
+    *,
+    compact: bool,
+    protect: set[str],
+) -> GenerationPlan | None:
+    """The next generation of ``stage``'s ``wave`` (None: up to date);
+    ``compact`` folds the history into one new FULL generation."""
+    # Each committed partition of a wave is one GENERATION: gen 0 covers
+    # every shard group, later gens re-index only the groups whose
+    # checkpoint fingerprint changed.  A group's docID range is a whole
+    # number of salt ranges (salt_shift <= 32), so readers drop superseded
+    # postings at chunk granularity (a chunk whose file index a later
+    # generation covers) — reference behavior analogue: vexor re-indexes
+    # only changed files (services/index_service.py:565-643).
+    # New groups are plain dirty additions (streaming ingestion names new
+    # files to sort after the corpus, so old lineage docIDs are stable).
+    # The wave is wiped and rebuilt from every group as gen 0 when a
+    # generation was built under another config, lost a file, or covers an
+    # input file the current plan no longer has (a dropped or renamed file:
+    # no delta could ever supersede its postings).
+    recs = manifest.load_partitions().values()
+    gens = sorted(
+        (r for r in recs if r.stage == stage and r.lineage.get("wave") == wave),
+        key=lambda r: r.lineage.get("gen", 0),
+    )
+    prev_fps: dict[str, str] = {}
+    prev_files: set[int] = set()
+    for r in gens:
+        prev_fps.update(r.lineage.get("group_fps", {}))
+        prev_files.update(r.lineage.get("covers_files", []))
+    incremental = (
+        bool(gens)
+        and all(r.lineage.get("cfg_fp") == cfg_fp for r in gens)
+        and set(prev_fps) <= {g.pid for g in groups}
+        and prev_files <= {fi for g in groups for fi in g.file_indices}
+        and all(store.exists_abs(f) for r in gens for f in r.output_files)
+    )
+    if not incremental:
+        # drop this wave's generations, and those of any wave built under
+        # another config (a smaller num_waves strands them); dirs that a
+        # retained snapshot references stay for time-travel readers
+        for r in recs:
+            if r.stage == stage and (
+                r.lineage.get("wave") == wave or r.lineage.get("cfg_fp") != cfg_fp
+            ):
+                manifest.delete_partition(r.key())
+                for d in _record_dirs(r):
+                    if d not in protect:
+                        store.delete_dir_abs(d)
+        return GenerationPlan(wave, 0, True, list(groups), cfg_fp)
+    dirty = [g for g in groups if prev_fps.get(g.pid) != g.fp]
+    if compact:
+        if not dirty and _is_full(gens[-1].lineage):
+            return None  # newest gen already covers everything
+        dirty = list(groups)
+    elif not dirty:
+        return None
+    next_gen = gens[-1].lineage.get("gen", 0) + 1
+    return GenerationPlan(wave, next_gen, len(dirty) == len(groups), dirty, cfg_fp)
+
+
+def write_generation(
+    store: Store,
+    manifest: BuildManifest,
+    stage: str,
+    plan: GenerationPlan,
+    *,
+    read_fs,
+    columns: list[str],
+    explode,
+    explode_kwargs: dict,
+    encode,
+    encode_kwargs: dict,
+    partitions_per_wave: int,
+    protect: set[str],
+    hash_shuffle: bool = False,
+    encode_cpus: float = 1.0,
+    lineage: dict | None = None,
+) -> None:
+    """Stage 2 of one planned generation: read the planned groups'
+    checkpoint → ``explode`` → (th, salt) exchange → ``encode`` (complete
+    runs per block) → attempt-dir write → partition commit."""
+    from ray.data import DataContext
+    from ray.data.context import ShuffleStrategy
+
+    pid = f"wave-{plan.wave:04d}-gen-{plan.gen:04d}"
+    files = sorted(f for g in plan.groups for f in g.files)
+    lineage = {
+        "wave": plan.wave,
+        "gen": plan.gen,
+        "cfg_fp": plan.cfg_fp,
+        "full": plan.full,
+        "group_fps": {g.pid: g.fp for g in plan.groups},
+        "covers_files": sorted(fi for g in plan.groups for fi in g.file_indices),
+        **(lineage or {}),
+    }
+    fp = hashlib.sha1(json.dumps(lineage, sort_keys=True).encode()).hexdigest()
+    if not files:  # no documents: an empty generation
+        manifest.commit_partition(
+            PartitionRecord(
+                stage=stage,
+                partition_id=pid,
+                input_fingerprint=fp,
+                metrics={"postings": 0, "chunk_rows": 0, "wall_s": 0.0},
+                lineage=lineage,
+            )
+        )
+        return
+    t0 = time.perf_counter()
+    ctx = DataContext.get_current()
+    prev_ctx = (ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators)
+    if hash_shuffle:
+        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
+        # bound aggregator actor count: too many concurrent actor spawns
+        # destabilize small nodes and buy nothing on one machine
+        ctx.max_hash_shuffle_aggregators = min(8, partitions_per_wave)
+    try:
+        # bound the block count into the sort: the sort-shuffle creates
+        # (#map blocks x #output partitions) intermediate objects, which at
+        # fine block granularity melts the scheduler (observed 4x data ->
+        # 20x wave time); 2x partitions_per_wave blocks keeps the exchange
+        # quadratic-in-partitions, not in input files
+        ds = ray.data.read_parquet(
+            files,
+            columns=columns,
+            override_num_blocks=partitions_per_wave * 2,
+            filesystem=read_fs,
+        )
+        ds = ds.map_batches(
+            explode,
+            fn_kwargs=explode_kwargs,
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        if hash_shuffle:
+            ds = ds.repartition(partitions_per_wave, keys=["th", "salt"], sort=True)
+        else:
+            # range sort on the uint64 hash key (string-free compares): same
+            # complete-runs-per-block property in the common case; a run
+            # split across block boundaries yields two chunk rows for one
+            # (term, salt), which the query layer merges (multi-chunk terms
+            # are first-class: salting already produces them)
+            ds = ds.sort(["th", "salt"])
+        ds = ds.map_batches(
+            encode,
+            fn_kwargs=encode_kwargs,
+            batch_format="pyarrow",
+            batch_size=None,
+            zero_copy_batch=True,
+            num_cpus=encode_cpus,
+        )
+        out_files, dirname = _attempt_dir_write(
+            store, ds, stage, pid, row_group_size=2048
+        )
+    finally:
+        ctx.shuffle_strategy, ctx.max_hash_shuffle_aggregators = prev_ctx
+    manifest.commit_partition(
+        PartitionRecord(
+            stage=stage,
+            partition_id=pid,
+            input_fingerprint=fp,
+            output_files=out_files,
+            metrics={
+                "chunk_rows": _parquet_rows(out_files, store.fs),
+                "postings": _column_sum(out_files, "n_postings", store.fs),
+                "bytes": sum(store.file_size_abs(f) for f in out_files),
+                "wall_s": round(time.perf_counter() - t0, 3),
+            },
+            lineage=lineage,
+        )
+    )
+    gc_stale_attempts(store, stage, pid, {dirname}, protect)
+
+
+def _gens_by_wave(recs, stage: str) -> dict[int, list[PartitionRecord]]:
+    # stage's generations per wave, waves and gens ascending
+    out: dict[int, list[PartitionRecord]] = {}
+    for r in recs:
+        if r.stage == stage:
+            out.setdefault(r.lineage["wave"], []).append(r)
+    for gens in out.values():
+        gens.sort(key=lambda r: r.lineage.get("gen", 0))
+    return dict(sorted(out.items()))
+
+
+def _live_base(gens: list[PartitionRecord]) -> int:
+    # index of the newest FULL generation: all before it are superseded
+    return max((i for i, r in enumerate(gens) if _is_full(r.lineage)), default=0)
+
+
+def live_wave_gens(
+    store: Store, manifest: BuildManifest, stage: str, extra=None
+) -> dict:
+    """Per-wave generation lists for the manifest: the live suffix from the
+    newest FULL generation on; ``extra(rec)`` adds per-structure fields."""
+    # superseded generations are garbage-collected (gc_superseded_
+    # generations) only AFTER this manifest commits, so readers never see
+    # dangling files.  Each entry carries the file-index coverage readers
+    # drop superseded chunks by, and per-file th min/max from the parquet
+    # footers, recorded once here so every query process can prune files
+    # per term without its own footer sweep.
+    out: dict[str, list[dict]] = {}
+    for w, gens in _gens_by_wave(manifest.load_partitions().values(), stage).items():
+        out[str(w)] = [
+            {
+                "gen": r.lineage.get("gen", 0),
+                "full": _is_full(r.lineage),
+                "files": r.output_files,
+                "th_bounds": _th_bounds(r.output_files, store.fs),
+                "covers_files": r.lineage.get("covers_files", []),
+                **(extra(r) if extra else {}),
+            }
+            for r in gens[_live_base(gens) :]
+        ]
+    return out
+
+
+def gc_superseded_generations(
+    store: Store, stage: str, *, paired: str | None = None, keep_manifests=None
+) -> dict | None:
+    """Delete the generations a newer FULL one supersedes (with the
+    ``paired`` stage's record of the same partition) once the manifest that
+    drops them has committed.  Returns the manifest re-committed with the
+    pruned partition list, or None when nothing was superseded."""
+    # each record goes first (a half-done GC never resurrects a
+    # generation), then its dirs.  Dirs a retained snapshot references stay
+    # for time-travel readers and expire with their snapshots (finalize).
+    # Idempotent: a kill mid-cleanup is finished by the next call.
+    manifest = BuildManifest(store)
+    recs = manifest.load_partitions()
+    # the just-committed manifest is excluded: its partition list still
+    # carries the superseded records collected here
+    protect = protected_data_dirs(store, exclude_current=True)
+    removed = False
+    for gens in _gens_by_wave(recs.values(), stage).values():
+        for r in gens[: _live_base(gens)]:
+            for victim in (r, recs.get(f"{paired}--{r.partition_id}")):
+                if victim is None:
+                    continue
+                manifest.delete_partition(victim.key())
+                for d in _record_dirs(victim):
+                    if d not in protect:
+                        store.delete_dir_abs(d)
+            removed = True
+    if not removed:
+        return None
+    # generation lists and stats are unchanged: they already exclude the
+    # superseded generations
+    man = load_manifest(store)
+    return manifest.finalize(
+        config=man["config"],
+        stats=man["stats"],
+        extra={
+            k: man[k]
+            for k in man
+            if k
+            not in ("format_version", "snapshot_seq", "config", "stats", "partitions")
+        },
+        keep_manifests=keep_manifests,
+    )
+
+
 def build_index(
     source: str | Path | list | Store,
     out_dir: str | Path | Store,
@@ -760,172 +1142,67 @@ def build_index(
     # (re-)tokenizes drops ledger urls at the read, and the tombstone set is
     # re-resolved against the final checkpoint at finalize — deletions
     # survive incremental updates, compaction, and streaming appends
-    from .manifest import manifest_exists
-
-    ledger_urls: list[str] = []
-    prior_deletes: dict | None = None
-    if manifest_exists(store):
-        from .deletes import read_ledger
-        from .manifest import load_manifest as _load_man
-
-        try:
-            prior_deletes = _load_man(store).get("deletes")
-            ledger_urls = read_ledger(store, prior_deletes)
-        except FileNotFoundError:
-            pass
+    try:
+        prior_deletes = load_manifest(store).get("deletes")
+    except FileNotFoundError:  # first build
+        prior_deletes = None
+    ledger_urls = read_ledger(store, prior_deletes)
 
     # data dirs referenced by retained snapshots: every GC below skips
     # them (time-travel readers stay valid); finalize sweeps them when
     # their snapshots expire from history (index/manifest.py)
-    from .manifest import protected_data_dirs
-
     protect = protected_data_dirs(store)
 
     # ---- stage 1: extract + tokenize, one partition per shard group -------
-    groups = [
-        files[i : i + cfg.shard_group_size]
-        for i in range(0, len(files), cfg.shard_group_size)
-    ]
     # tokenize-relevant config is part of the group fingerprint: changing the
     # tokenizer / doc builder must re-tokenize even when inputs are unchanged
-    import json as _tokfp_json
-
     tok_fp = (
         f"|{cfg.token_pattern}|{cfg.text_only}|{cfg.doc_builder}|{cfg.tokenizer}"
         f"|{cfg.char_limit}|{cfg.pre_extracted}|W{cfg.num_waves}"
         f"|B{int(cfg.wave_bucketed_tok)}"
         f"|X{int(cfg.emit_positions)}"
         f"|E{cfg.embed_dim}:{cfg.embed_mode}"
-        f"|M{hashlib.sha1(_tokfp_json.dumps(cfg.bpe_merges).encode()).hexdigest() if cfg.bpe_merges else ''}"
-        f"|P{_tokfp_json.dumps(cfg.embed_provider, sort_keys=True)}"
-        f"|S{_tokfp_json.dumps(sorted(cfg.stop_words)) if cfg.stop_words else ''}"
+        f"|M{hashlib.sha1(json.dumps(cfg.bpe_merges).encode()).hexdigest() if cfg.bpe_merges else ''}"
+        f"|P{json.dumps(cfg.embed_provider, sort_keys=True)}"
+        f"|S{json.dumps(sorted(cfg.stop_words)) if cfg.stop_words else ''}"
     )
-    group_fp_now: dict[str, str] = {}
-    group_file_indices: dict[str, list[int]] = {}
-    for gi, group in enumerate(groups):
-        pid = f"group-{gi:05d}"
-        fp = hashlib.sha1(
-            (file_fingerprint(group, src_fs) + tok_fp).encode()
-        ).hexdigest()
-        group_fp_now[pid] = fp
-        group_file_indices[pid] = list(
-            range(gi * cfg.shard_group_size, gi * cfg.shard_group_size + len(group))
-        )
-        if manifest.is_done("docs_tok", pid, fp):
-            # sweep attempt dirs a crashed run left before its commit
-            rec = manifest.load_partitions()[f"docs_tok--{pid}"]
-            keep = {d.rsplit("/", 1)[-1] for d in _record_dirs(rec)}
-            gc_stale_attempts(store, "docs_tok", pid, keep, protect)
-            continue
-        t0 = time.perf_counter()
-        read_cols = ["url", "text"] if cfg.pre_extracted else ["url", "html"]
-        ds = read_with_doc_ids(
-            group,
-            read_cols,
-            file_indices=list(
-                range(gi * cfg.shard_group_size, gi * cfg.shard_group_size + len(group))
-            ),
-            filesystem=src_fs,
-        )
-        if ledger_urls:
-            ds = ds.map_batches(
-                _drop_deleted_urls,
-                fn_kwargs={"deleted_urls": ledger_urls},
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        if not cfg.pre_extracted:
-            ds = ds.map_batches(
-                make_extract_fn(cfg.char_limit),
-                batch_format="pyarrow",
-                batch_size=cfg.extract_batch_size,
-                zero_copy_batch=True,
-            )
-        else:
-            # pre-extracted inputs get the same normalize-and-drop-empty the
-            # extraction path applies (refimpl.oracle:66-72 parity): without
-            # it, whitespace-only rows survive as doc_len=0 ghosts and skew
-            # doc_count / avg_doc_len / idf vs the oracle
-            ds = ds.map_batches(
-                _normalize_pre_extracted,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        ds = ds.map_batches(
-            TokenizeDocs,
-            fn_constructor_kwargs={
-                "text_only": cfg.text_only,
-                "token_pattern": cfg.token_pattern,
-                "doc_builder": cfg.doc_builder,
-                "tokenizer": cfg.tokenizer,
-                "num_waves": cfg.num_waves if cfg.wave_bucketed_tok else 0,
-                "embed_dim": cfg.embed_dim,
-                "embed_mode": cfg.embed_mode,
-                "embed_provider": cfg.embed_provider,
-                "bpe_merges": cfg.bpe_merges,
-                "stop_words": cfg.stop_words,
-                "emit_positions": cfg.emit_positions,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-            # FIXED pool size: an autoscaling (1, N) pool ramps up too slowly
-            # to ever reach N within a stage, silently serializing the build.
-            # Clamped below the session CPU count so reads and writes keep
-            # running alongside the pool (a pool that reserves every CPU
-            # deadlocks the stage).
-            concurrency=_effective_pool_size(cfg.tokenize_concurrency),
-            zero_copy_batch=True,
-        )
-        out_files, dirname = _attempt_dir_write(store, ds, "docs_tok", pid)
-        rows_out = _parquet_rows(out_files, store.fs)
-        manifest.commit_partition(
-            PartitionRecord(
-                stage="docs_tok",
-                partition_id=pid,
-                input_fingerprint=fp,
-                output_files=out_files,
-                metrics={
-                    "rows_in": _parquet_rows(group, src_fs),
-                    "rows_out": rows_out,
-                    "tokens": _column_sum(out_files, "doc_len", store.fs),
-                    "wall_s": round(time.perf_counter() - t0, 3),
-                },
-                lineage={"input_files": group, "config": cfg.public_dict()},
-            )
-        )
-        gc_stale_attempts(store, "docs_tok", pid, {dirname}, protect)
+    groups = tokenize_groups(
+        store,
+        manifest,
+        "docs_tok",
+        files,
+        src_fs,
+        cfg,
+        tok_fp,
+        {
+            "text_only": cfg.text_only,
+            "token_pattern": cfg.token_pattern,
+            "doc_builder": cfg.doc_builder,
+            "tokenizer": cfg.tokenizer,
+            "num_waves": cfg.num_waves if cfg.wave_bucketed_tok else 0,
+            "embed_dim": cfg.embed_dim,
+            "embed_mode": cfg.embed_mode,
+            "embed_provider": cfg.embed_provider,
+            "bpe_merges": cfg.bpe_merges,
+            "stop_words": cfg.stop_words,
+            "emit_positions": cfg.emit_positions,
+        },
+        protect=protect,
+        ledger_urls=ledger_urls,
+        extract_batch_size=cfg.extract_batch_size,
+    )
 
-    # ---- stage 2: corpus stats (docIDs already assigned from lineage) ------
+    # ---- corpus stats (docIDs already assigned from lineage) ---------------
     # the docs_tok checkpoint IS the docs table: (doc_id, url, doc_len,
     # terms, tfs); stats are exact global aggregates over its doc_len column.
     # Files come from THIS run's committed group records — never a directory
     # glob, which would silently fold stale checkpoints from an earlier build
     # with a different input plan into doc_count / idf as ghost documents.
-    parts = manifest.load_partitions()
-    current_pids = [f"group-{gi:05d}" for gi in range(len(groups))]
-    all_tok_files = sorted(
-        f
-        for pid in current_pids
-        for f in parts[f"docs_tok--{pid}"].output_files
-    )
-    # drop attempt dirs belonging to groups outside the current input plan
-    # (referenced dirs of current groups were already swept per group above)
-    referenced = {
-        d.rsplit("/", 1)[-1]
-        for pid in current_pids
-        for d in _record_dirs(parts[f"docs_tok--{pid}"])
-    }
-    current_pid_set = set(current_pids)
-    for name in store.subdirs("docs_tok"):
-        if (
-            attempt_pid(name) not in current_pid_set
-            and name not in referenced
-            and store.path("docs_tok", name) not in protect
-        ):
-            store.delete_dir("docs_tok", name)
-    docs_fp = hashlib.sha1(
-        (file_fingerprint(files, src_fs) + tok_fp).encode()
-    ).hexdigest()
+    # The fingerprint follows the checkpoint itself (group fingerprints
+    # cover its files): a purge that rewrites it gets fresh stats from the
+    # compaction that follows.
+    all_tok_files = sorted(f for g in groups for f in g.files)
+    docs_fp = hashlib.sha1("|".join(g.fp for g in groups).encode()).hexdigest()
     if not manifest.is_done("docs", "global", docs_fp):
         t0 = time.perf_counter()
         doc_count = _parquet_rows(all_tok_files, store.fs)
@@ -950,226 +1227,55 @@ def build_index(
     total_len = docs_rec.metrics["total_doc_len"]
     avg_doc_len = total_len / doc_count if doc_count else 0.0
 
-    # ---- stage 3: per-wave posting shuffle + encode + segment write --------
-    # Generation planning fingerprints the group's CHECKPOINT OUTPUT, not
-    # just the source content: a purge (index/deletes.py) rewrites docs_tok
-    # files without touching the source, and the posting generations must
-    # notice — otherwise a compacting build would skip "already full" waves
-    # whose segments still carry the purged docs' postings.
-    parts_after_tok = manifest.load_partitions()
-    seg_fp_now: dict[str, str] = {
-        pid: hashlib.sha1(
-            (
-                group_fp_now[pid]
-                + "|"
-                + "|".join(
-                    sorted(parts_after_tok[f"docs_tok--{pid}"].output_files)
-                )
-            ).encode()
-        ).hexdigest()
-        for pid in current_pids
-    }
-    from ray.data import DataContext
-    from ray.data.context import ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    prev_strategy = ctx.shuffle_strategy
-    prev_max_agg = ctx.max_hash_shuffle_aggregators
-    if cfg.shuffle_backend == "hash":
-        ctx.shuffle_strategy = ShuffleStrategy.HASH_SHUFFLE
-        # bound aggregator actor count: too many concurrent actor spawns
-        # destabilize small nodes and buy nothing on one machine
-        ctx.max_hash_shuffle_aggregators = min(8, cfg.partitions_per_wave)
-    import json as _json
-
-    _fp_cfg = cfg.public_dict()
-    _fp_cfg.pop("manifest_history", None)  # retention policy, not content
-    cfg_fp = hashlib.sha1(
-        _json.dumps(_fp_cfg, sort_keys=True).encode()
-    ).hexdigest()
-    try:
-        for wave in range(cfg.num_waves):
-            # ---- generation planning (row-level incrementality) ----------
-            # Each committed segment partition is one GENERATION of this
-            # wave: gen 0 covers every shard group; later gens re-index only
-            # the groups whose content fingerprint changed.  A group's docID
-            # range is a whole number of salt ranges (salt_shift <= 32), so
-            # the query layer drops superseded postings at chunk granularity
-            # — reference behavior analogue: vexor re-indexes only changed
-            # files (services/index_service.py:565-643).
-            parts_now = manifest.load_partitions()
-            gens = sorted(
-                (
-                    r
-                    for r in parts_now.values()
-                    if r.stage == "segments" and r.lineage.get("wave") == wave
-                ),
-                key=lambda r: r.lineage.get("gen", 0),
-            )
-            prev_cover: dict[str, str] = {}
-            for r in gens:
-                prev_cover.update(r.lineage.get("group_fps", {}))
-            # APPEND-friendly: new shard groups (prev_cover ⊂ group_fp_now —
-            # the streaming-ingestion path, files named to sort after the
-            # existing corpus so lineage docIDs of old files are stable) are
-            # just dirty additions; only group REMOVAL / renames (a group in
-            # prev_cover missing now) force a clean rebuild, because docID
-            # ranges of surviving files would shift under them.
-            incremental = (
-                bool(gens)
-                and all(r.lineage.get("cfg_fp") == cfg_fp for r in gens)
-                and set(prev_cover) <= set(seg_fp_now)
-                and all(
-                    store.exists_abs(f) for r in gens for f in r.output_files
-                )
-            )
-            if incremental:
-                dirty = sorted(
-                    gid
-                    for gid, fp in seg_fp_now.items()
-                    if prev_cover.get(gid) != fp
-                )
-                last_full = gens[-1].lineage.get("full") or (
-                    gens[-1].lineage.get("gen", 0) == 0
-                )
-                if compact:
-                    if not dirty and last_full:
-                        continue  # newest gen already covers everything
-                    dirty = sorted(seg_fp_now)  # full cover into a new gen
-                elif not dirty:
-                    continue  # wave fully up to date
-                next_gen = gens[-1].lineage.get("gen", 0) + 1
-            else:
-                # config / input-plan change (or first build): wipe stale
-                # generations and rebuild this wave from all groups
-                # (snapshot-referenced dirs stay for time-travel readers)
-                for r in gens:
-                    manifest.delete_partition(r.key())
-                    for d in _record_dirs(r):
-                        if d not in protect:
-                            store.delete_dir_abs(d)
-                dirty = sorted(seg_fp_now)
-                next_gen = 0
-            pid = f"wave-{wave:04d}-gen-{next_gen:04d}"
-            wave_fp = hashlib.sha1(
-                (
-                    "|".join(f"{g}:{seg_fp_now[g]}" for g in dirty)
-                    + f"|{wave}|{cfg.num_waves}|{cfg.salt_shift}|"
-                    f"{cfg.block_size}|{cfg.k1}|{cfg.b}|{avg_doc_len!r}"
-                ).encode()
-            ).hexdigest()
-            gen_lineage = {
-                "wave": wave,
-                "gen": next_gen,
-                "cfg_fp": cfg_fp,
-                "avgdl": avg_doc_len,
-                # a FULL generation covers every group and supersedes all
-                # earlier generations (gen 0 is implicitly full)
-                "full": next_gen == 0 or set(dirty) == set(seg_fp_now),
-                "group_fps": {g: seg_fp_now[g] for g in dirty},
-                "covers_files": sorted(
-                    fi for g in dirty for fi in group_file_indices[g]
-                ),
-                "config": cfg.public_dict(),
-            }
-            if doc_count == 0:
-                manifest.commit_partition(
-                    PartitionRecord(
-                        stage="segments",
-                        partition_id=pid,
-                        input_fingerprint=wave_fp,
-                        metrics={"postings": 0, "chunk_rows": 0, "wall_s": 0.0},
-                        lineage=gen_lineage,
-                    )
-                )
-                continue
-            t0 = time.perf_counter()
-            dirty_files = sorted(
-                f
-                for g in dirty
-                for f in parts_now[f"docs_tok--{g}"].output_files
-            )
-            # bound the block count into the sort: the sort-shuffle creates
-            # (#map blocks x #output partitions) intermediate objects, which
-            # at fine block granularity melts the scheduler (observed 4x data
-            # -> 20x wave time); 2x partitions_per_wave blocks keeps the
-            # exchange quadratic-in-partitions, not in input files
-            if cfg.wave_bucketed_tok and cfg.num_waves > 1:
-                tcol, fcol = f"terms_w{wave}", f"tfs_w{wave}"
-                wave_arg = None  # bucketed at tokenize time, nothing to filter
-            else:
-                tcol, fcol = "terms", "tfs"
-                wave_arg = wave if cfg.num_waves > 1 else None
-            ds = ray.data.read_parquet(
-                dirty_files,
-                columns=["doc_id", "doc_len", tcol, fcol],
-                override_num_blocks=cfg.partitions_per_wave * 2,
-                filesystem=store.fs,
-            )
-            ds = ds.map_batches(
-                explode_postings,
-                fn_kwargs={
-                    "salt_shift": cfg.salt_shift,
-                    "num_waves": cfg.num_waves,
-                    "wave": wave_arg,
-                    "terms_col": tcol,
-                    "tfs_col": fcol,
-                },
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            if cfg.shuffle_backend == "hash":
-                ds = ds.repartition(
-                    cfg.partitions_per_wave, keys=["th", "salt"], sort=True
-                )
-            else:
-                # range sort on the uint64 hash key (string-free compares):
-                # same complete-runs-per-block property in the common case; a
-                # run split across block boundaries yields two chunk rows for
-                # one (term, salt), which the query layer merges (multi-chunk
-                # terms are first-class: salting already produces them)
-                ds = ds.sort(["th", "salt"])
-            ds = ds.map_batches(
-                encode_runs,
-                fn_kwargs={
-                    "avg_doc_len": avg_doc_len,
-                    "block_size": cfg.block_size,
-                    "k1": cfg.k1,
-                    "b": cfg.b,
-                    "impact": cfg.impact_postings,
-                    "posting_codec": cfg.posting_codec,
-                },
-                batch_format="pyarrow",
-                batch_size=None,
-                zero_copy_batch=True,
-                num_cpus=(
-                    _encode_task_cpus(cfg.encode_max_concurrent)
-                    if cfg.encode_max_concurrent
-                    else 1.0
-                ),
-            )
-            seg_files, seg_dirname = _attempt_dir_write(
-                store, ds, "segments", pid, row_group_size=2048
-            )
-            manifest.commit_partition(
-                PartitionRecord(
-                    stage="segments",
-                    partition_id=pid,
-                    input_fingerprint=wave_fp,
-                    output_files=seg_files,
-                    metrics={
-                        "chunk_rows": _parquet_rows(seg_files, store.fs),
-                        "postings": _column_sum(seg_files, "n_postings", store.fs),
-                        "bytes": sum(store.file_size_abs(f) for f in seg_files),
-                        "wall_s": round(time.perf_counter() - t0, 3),
-                    },
-                    lineage=gen_lineage,
-                )
-            )
-            gc_stale_attempts(store, "segments", pid, {seg_dirname}, protect)
-    finally:
-        ctx.shuffle_strategy = prev_strategy
-        ctx.max_hash_shuffle_aggregators = prev_max_agg
+    # ---- stage 2: per-wave generations: posting shuffle + encode ----------
+    cfg_fp = config_fingerprint(cfg)
+    for wave in range(cfg.num_waves):
+        plan = plan_generation(
+            store, manifest, "segments", wave, groups, cfg_fp,
+            compact=compact, protect=protect,
+        )
+        if plan is None:
+            continue
+        if cfg.wave_bucketed_tok and cfg.num_waves > 1:
+            tcol, fcol = f"terms_w{wave}", f"tfs_w{wave}"
+            wave_arg = None  # bucketed at tokenize time, nothing to filter
+        else:
+            tcol, fcol = "terms", "tfs"
+            wave_arg = wave if cfg.num_waves > 1 else None
+        write_generation(
+            store,
+            manifest,
+            "segments",
+            plan,
+            read_fs=store.fs,
+            columns=["doc_id", "doc_len", tcol, fcol],
+            explode=explode_postings,
+            explode_kwargs={
+                "salt_shift": cfg.salt_shift,
+                "num_waves": cfg.num_waves,
+                "wave": wave_arg,
+                "terms_col": tcol,
+                "tfs_col": fcol,
+            },
+            encode=encode_runs,
+            encode_kwargs={
+                "avg_doc_len": avg_doc_len,
+                "block_size": cfg.block_size,
+                "k1": cfg.k1,
+                "b": cfg.b,
+                "impact": cfg.impact_postings,
+                "posting_codec": cfg.posting_codec,
+            },
+            partitions_per_wave=cfg.partitions_per_wave,
+            protect=protect,
+            hash_shuffle=cfg.shuffle_backend == "hash",
+            encode_cpus=(
+                _encode_task_cpus(cfg.encode_max_concurrent)
+                if cfg.encode_max_concurrent
+                else 1.0
+            ),
+            lineage={"avgdl": avg_doc_len, "config": cfg.public_dict()},
+        )
 
     # ---- term dictionary sidecar (one per segments generation) ------------
     # Sorted distinct (term, df) rows: prefix/wildcard expansion needs
@@ -1185,8 +1291,7 @@ def build_index(
         td_fp = hashlib.sha1("|".join(sorted(rec.output_files)).encode()).hexdigest()
         if manifest.is_done("termdict", pid, td_fp):
             tdrec = manifest.load_partitions()[f"termdict--{pid}"]
-            keep = {d.rsplit("/", 1)[-1] for d in _record_dirs(tdrec)}
-            gc_stale_attempts(store, "termdict", pid, keep, protect)
+            gc_stale_attempts(store, "termdict", pid, _attempt_names(tdrec), protect)
             continue
         t0 = time.perf_counter()
         out_files: list[str] = []
@@ -1232,63 +1337,38 @@ def build_index(
             gc_stale_attempts(store, "termdict", pid, {dirname}, protect)
 
     # ---- finalize ----------------------------------------------------------
-    # waves        — flat file lists (all generations), for simple consumers;
-    # wave_gens    — per-wave generation list in ascending gen order with the
-    #                file-index coverage + encode-time avgdl the query layer
-    #                needs to drop superseded chunks and rescale WAND bounds
+    # waves        — flat file lists (all live generations), for simple
+    #                consumers;
+    # wave_gens    — the live generations per wave (``live_wave_gens``) plus
+    #                the encode-time avgdl the query layer rescales WAND
+    #                bounds with and each generation's term dictionary
     termdict_by_pid = {
         rec.partition_id: rec.output_files
         for rec in manifest.load_partitions().values()
         if rec.stage == "termdict"
     }
-    wave_gens: dict[int, list[dict]] = {}
-    for rec in manifest.load_partitions().values():
-        if rec.stage == "segments":
-            wave_gens.setdefault(rec.lineage["wave"], []).append(
-                {
-                    "gen": rec.lineage.get("gen", 0),
-                    "full": bool(
-                        rec.lineage.get("full")
-                        or rec.lineage.get("gen", 0) == 0
-                    ),
-                    "files": rec.output_files,
-                    # per-file th min/max from the parquet footers, recorded
-                    # once at build commit so every query process can prune
-                    # segment files per term without its own footer sweep
-                    "th_bounds": _th_bounds(rec.output_files, store.fs),
-                    "covers_files": rec.lineage.get("covers_files", []),
-                    "avgdl": rec.lineage.get("avgdl", avg_doc_len),
-                    "termdict": termdict_by_pid.get(rec.partition_id, []),
-                }
-            )
-    for w, gens in wave_gens.items():
-        gens.sort(key=lambda g: g["gen"])
-        # generations older than the newest FULL one are superseded in
-        # their entirety: the manifest exposes only the live suffix (the
-        # stale dirs/records are garbage-collected by compact_index AFTER
-        # this manifest commits, so readers never see dangling files)
-        base = max(
-            (i for i, g in enumerate(gens) if g["full"]), default=0
-        )
-        wave_gens[w] = gens[base:]
+    wave_gens = live_wave_gens(
+        store,
+        manifest,
+        "segments",
+        lambda r: {
+            "avgdl": r.lineage.get("avgdl", avg_doc_len),
+            "termdict": termdict_by_pid.get(r.partition_id, []),
+        },
+    )
     extra = {
         "input_files": files,
         "input_fingerprint": file_fingerprint(files, src_fs),
         "docs_files": docs_files,
         "waves": {
-            str(w): [f for g in gens for f in g["files"]]
-            for w, gens in sorted(wave_gens.items())
+            w: [f for g in gens for f in g["files"]] for w, gens in wave_gens.items()
         },
-        "wave_gens": {
-            str(w): gens for w, gens in sorted(wave_gens.items())
-        },
+        "wave_gens": wave_gens,
     }
     if ledger_urls:
         # re-resolve the deletion ledger against the final checkpoint: docs
         # physically absent (ledger-filtered or purged) drop out, so the
         # tombstone set always covers exactly the deleted docs still present
-        from .deletes import gc_delete_objects, refresh_resolution
-
         extra["deletes"] = refresh_resolution(
             store, prior_deletes, docs_files, ledger_urls
         )

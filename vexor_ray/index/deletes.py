@@ -288,14 +288,14 @@ def purge_deletes(
        the old files PINNED (``lineage.pinned_dirs`` / ``purge_gc_files``)
        so the still-committed pre-purge manifest stays readable through
        any crash.
-    2. The docs/global stats record re-commits with recomputed row/token
-       counts (same input fingerprints — the SOURCE did not change, so
-       later incremental builds still skip these groups and reuse the
-       purged checkpoint).
-    3. :func:`~vexor_ray.index.build.compact_index` rebuilds every wave
-       from the purged checkpoint into full generations under the new
-       ``avg_doc_len``; its final ledger re-resolution finds no surviving
-       deleted docs, clearing the tombstone set (the ledger itself stays,
+       The group records keep their input fingerprints — the SOURCE did
+       not change, so later incremental builds still skip these groups and
+       reuse the purged checkpoint.
+    2. :func:`~vexor_ray.index.build.compact_index` recomputes the corpus
+       stats (their fingerprint covers the checkpoint files) and rebuilds
+       every wave from the purged checkpoint into full generations under
+       the new ``avg_doc_len``; its final ledger re-resolution finds no
+       surviving deleted docs, clearing the tombstone set (the ledger itself stays,
        blocking resurrection).  Only after that manifest commits are the
        pinned pre-purge files deleted (idempotent — a kill mid-cleanup is
        finished by the next purge call).
@@ -316,7 +316,6 @@ def purge_deletes(
         )
 
     parts = manifest.load_partitions()
-    purged_any = False
     for key in sorted(parts):
         rec = parts[key]
         if rec.stage != "docs_tok":
@@ -351,27 +350,10 @@ def purge_deletes(
             {f.rsplit("/", 1)[0] for f in affected} - new_dirs
         )
         manifest.commit_partition(rec)
-        purged_any = True
 
-    if purged_any:
-        # recompute the global stats record over the purged checkpoint
-        parts = manifest.load_partitions()
-        docs_rec = parts["docs--global"]
-        all_tok_files = sorted(
-            f
-            for r in parts.values()
-            if r.stage == "docs_tok"
-            for f in r.output_files
-        )
-        docs_rec.output_files = all_tok_files
-        docs_rec.metrics["doc_count"] = _parquet_rows(all_tok_files, store.fs)
-        docs_rec.metrics["total_doc_len"] = _column_sum(
-            all_tok_files, "doc_len", store.fs
-        )
-        manifest.commit_partition(docs_rec)
-
-    # compaction rebuilds every wave from the purged checkpoint; its final
-    # ledger re-resolution clears the tombstone set (ledger preserved)
+    # compaction recomputes the stats and rebuilds every wave from the
+    # purged checkpoint; its final ledger re-resolution clears the
+    # tombstone set (ledger preserved)
     result = compact_index(source, store, cfg, source_filesystem=source_filesystem)
     _finish_purge_gc(store, manifest)
     return result

@@ -177,52 +177,13 @@ class BuildManifest:
             self.store.write_json_atomic(MANIFEST_NAME, manifest)
         # GC: keep the newest `keep` seq-named snapshots (incl. this one);
         # legacy nonce-only names are always superseded
+        names = [f.rsplit("/", 1)[-1] for f in self.store.list_files(suffix=".json")]
         seq_named = sorted(
-            (
-                b
-                for b in (
-                    f.rsplit("/", 1)[-1]
-                    for f in self.store.list_files(suffix=".json")
-                )
-                if _manifest_seq(b) is not None
-            ),
-            reverse=True,
+            (b for b in names if _manifest_seq(b) is not None), reverse=True
         )
         survivors = set(seq_named[:keep]) | {name}
-        pruned = [
-            b
-            for b in (
-                f.rsplit("/", 1)[-1]
-                for f in self.store.list_files(suffix=".json")
-            )
-            if b.startswith("manifest-") and b not in survivors
-        ]
-        # data expiry: directories referenced ONLY by expiring snapshots
-        # are deleted with them (data outlives its snapshot exactly as long
-        # as a retained snapshot still references it).  Refs are computed
-        # BEFORE the snapshot objects go; a kill mid-sweep leaks
-        # unreferenced dirs (bounded by one expiry round), never breaks a
-        # retained snapshot.
-        pruned_dirs: set[str] = set()
-        for b in pruned:
-            try:
-                pruned_dirs |= manifest_data_dirs(self.store.read_json(b))
-            except (json.JSONDecodeError, FileNotFoundError, OSError):
-                continue
-        if pruned_dirs:
-            keep_dirs = manifest_data_dirs(manifest)
-            for b in survivors - {name}:
-                try:
-                    keep_dirs |= manifest_data_dirs(self.store.read_json(b))
-                except (json.JSONDecodeError, FileNotFoundError, OSError):
-                    continue
-        for b in pruned:
-            self.store.delete_file(b)
-        if pruned_dirs:
-            for d in sorted(pruned_dirs - keep_dirs):
-                if d == self.store.base:
-                    continue
-                self.store.delete_dir_abs(d)
+        pruned = [b for b in names if b.startswith("manifest-") and b not in survivors]
+        _expire(self.store, pruned, survivors)
         return manifest
 
     def _next_seq(self) -> int:
@@ -280,6 +241,35 @@ def manifest_data_dirs(manifest: dict) -> set[str]:
     return dirs
 
 
+def _snapshot_dirs(store: Store, names) -> set[str]:
+    """Data dirs the named snapshot objects reference (a torn or vanished
+    object references nothing)."""
+    out: set[str] = set()
+    for b in names:
+        try:
+            out |= manifest_data_dirs(store.read_json(b))
+        except (json.JSONDecodeError, FileNotFoundError, OSError):
+            continue
+    return out
+
+
+def _expire(store: Store, pruned: list[str], survivors: set[str]) -> int:
+    """Delete the ``pruned`` snapshot objects and the data dirs only they
+    reference; returns the number of dirs swept."""
+    # data outlives its snapshot exactly as long as a retained snapshot
+    # still references it.  Refs are computed BEFORE the snapshot objects
+    # go; a kill mid-sweep leaks unreferenced dirs (bounded by one expiry
+    # round), never breaks a retained snapshot.
+    pruned_dirs = _snapshot_dirs(store, pruned)
+    keep_dirs = _snapshot_dirs(store, survivors) if pruned_dirs else set()
+    for b in pruned:
+        store.delete_file(b)
+    swept = sorted(d for d in pruned_dirs - keep_dirs if d != store.base)
+    for d in swept:
+        store.delete_dir_abs(d)
+    return len(swept)
+
+
 def protected_data_dirs(
     store: Store, *, exclude_current: bool = False
 ) -> set[str]:
@@ -297,15 +287,12 @@ def protected_data_dirs(
     superseded generation records until the partition-list refresh, so
     protecting the current snapshot would protect the very generations
     being collected)."""
-    out: set[str] = set()
-    for e in list_manifests(store):
-        if exclude_current and e["current"]:
-            continue
-        try:
-            out |= manifest_data_dirs(store.read_json(e["name"]))
-        except (json.JSONDecodeError, FileNotFoundError, OSError):
-            continue
-    return out
+    names = [
+        e["name"]
+        for e in list_manifests(store)
+        if not (exclude_current and e["current"])
+    ]
+    return _snapshot_dirs(store, names)
 
 
 def expire_snapshots(
@@ -333,26 +320,7 @@ def expire_snapshots(
         e["name"] for e in current
     }
     pruned = [e["name"] for e in hist if e["name"] not in survivors]
-    pruned_dirs: set[str] = set()
-    for b in pruned:
-        try:
-            pruned_dirs |= manifest_data_dirs(store.read_json(b))
-        except (json.JSONDecodeError, FileNotFoundError, OSError):
-            continue
-    keep_dirs: set[str] = set()
-    for b in survivors:
-        try:
-            keep_dirs |= manifest_data_dirs(store.read_json(b))
-        except (json.JSONDecodeError, FileNotFoundError, OSError):
-            continue
-    for b in pruned:
-        store.delete_file(b)
-    swept = 0
-    for d in sorted(pruned_dirs - keep_dirs):
-        if d == store.base:
-            continue
-        store.delete_dir_abs(d)
-        swept += 1
+    swept = _expire(store, pruned, survivors)
     return {
         "expired": sorted(pruned),
         "swept_dirs": swept,

@@ -8,12 +8,13 @@ position of the term in each document, enabling exact consecutive-token
 phrase matching.
 
 It is a SEPARATE opt-in index directory (positions roughly double the raw
-token data — the wrong default at 100 TB) that reuses the engine's
-object-store-ready build machinery end to end: lineage docIDs
-(``stages/docids.py``), the extract/tokenize actor pool shape, attempt-dir
-writes + partition-record commits + pointer-swap manifest
-(``index/storage.py`` / ``index/manifest.py``), so a killed build resumes
-at stage/partition granularity on any ``pyarrow.fs``.
+token data — the wrong default at 100 TB) built by the BM25 build's
+generation engine (``index/build.py``: ``tokenize_groups`` →
+``plan_generation`` → ``write_generation`` → ``live_wave_gens``, and
+``gc_superseded_generations`` after compaction) with the positional
+explode/encode kernels below — lineage docIDs, attempt-dir writes,
+partition-record commits and the pointer-swap manifest included, so a
+killed build resumes at stage/partition granularity on any ``pyarrow.fs``.
 
 Layout per (term, salt) chunk, docIDs ascending (one parquet row):
 
@@ -34,8 +35,7 @@ uint64 arrays, no per-doc Python.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import time
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,13 +43,33 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import ray.data
 
-from ..hashing import file_fingerprint, hash_terms
+from ..hashing import hash_terms
 from ..spec import DEFAULT_SALT_SHIFT, FULL_CHAR_LIMIT, TOKEN_PATTERN
 from . import codec
-from .manifest import BuildManifest, PartitionRecord, load_manifest
-from .storage import Store, gc_stale_attempts
+from .build import (
+    _resolve_source,
+    checkpoint_group,
+    config_fingerprint,
+    gc_superseded_generations,
+    group_plan,
+    key_runs,
+    live_wave_gens,
+    plan_generation,
+    run_blobs,
+    run_key_columns,
+    term_hashes,
+    tokenize_groups,
+    varint_byte_offsets,
+    write_generation,
+)
+from .manifest import (
+    BuildManifest,
+    PartitionRecord,
+    load_manifest,
+    protected_data_dirs,
+)
+from .storage import Store
 
 _POS_BASE = np.uint64(1) << np.uint64(32)  # doc-index stride in chain keys
 
@@ -63,11 +83,6 @@ class PositionsConfig:
     stop_words: list | None = None
     text_only: bool = True  # phrase semantics over the text itself
     pre_extracted: bool = False
-    # tokenized_source → ``source`` is a docs_tok checkpoint that already
-    # carries (doc_id, terms, poss) — a BM25 build with
-    # ``BuildConfig(emit_positions=True)``.  Stage 1 (extract + tokenize)
-    # is skipped entirely: ONE tokenize pass serves both indexes.
-    tokenized_source: bool = False
     char_limit: int = FULL_CHAR_LIMIT
     salt_shift: int = DEFAULT_SALT_SHIFT
     num_waves: int = 1
@@ -83,52 +98,11 @@ class PositionsConfig:
         return d
 
 
-class TokenizePositions:
-    """Actor-pool callable: per-doc term → 1-based position lists.
-
-    Positions index into the tokenizer's output sequence for the document
-    (1-based, matching SQL ``generate_series(1, len(toks))`` twins).
-    """
-
-    def __init__(
-        self,
-        text_only: bool = True,
-        token_pattern: str = TOKEN_PATTERN,
-        tokenizer: str = "regex",
-        stop_words: list | None = None,
-    ):
-        from ..stages.berttok import make_tokenizer
-
-        self._tokenize = make_tokenizer(
-            tokenizer, token_pattern, stop_words=stop_words
-        )
-        self._text_only = text_only
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        texts = batch.column("text").to_pylist()
-        docs = texts if self._text_only else [f"{u} {t}" for u, t in zip(urls, texts)]
-        terms_col: list[list[str]] = []
-        poss_col: list[list[list[int]]] = []
-        for doc in docs:
-            by_term: dict[str, list[int]] = {}
-            for i, tok in enumerate(self._tokenize(doc), start=1):
-                by_term.setdefault(tok, []).append(i)
-            terms_col.append(list(by_term.keys()))
-            poss_col.append(list(by_term.values()))
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "terms": pa.array(terms_col, type=pa.list_(pa.string())),
-                "poss": pa.array(
-                    poss_col, type=pa.list_(pa.list_(pa.uint32()))
-                ),
-            }
-        )
-
-
-def explode_position_postings(batch: pa.Table, *, salt_shift: int) -> pa.Table:
-    """(doc_id, terms, poss) → flat (th, term, salt, doc_id, poss) rows."""
+def explode_position_postings(
+    batch: pa.Table, *, salt_shift: int, num_waves: int = 1, wave: int | None = None
+) -> pa.Table:
+    """(doc_id, terms, poss) → flat (th, term, salt, doc_id, poss) rows of
+    term-hash ``wave`` (None: all rows)."""
     batch = batch.combine_chunks()
     if batch.num_rows == 0:
         return pa.table(
@@ -147,12 +121,8 @@ def explode_position_postings(batch: pa.Table, *, salt_shift: int) -> pa.Table:
     poss = pc.list_flatten(batch.column("poss"))  # outer flatten only
     if isinstance(flat_terms, pa.ChunkedArray):
         flat_terms = flat_terms.combine_chunks()
-    # dictionary-space hashing (Zipfian streams have ~1% uniques)
-    de = pc.dictionary_encode(flat_terms)
-    uniq = np.asarray(de.dictionary.to_numpy(zero_copy_only=False), dtype=object)
-    hu = hash_terms(uniq)
-    th = hu.view(np.int64)[de.indices.to_numpy()].view(np.uint64)
-    return pa.table(
+    th, keep = term_hashes(flat_terms, num_waves, wave)
+    out = pa.table(
         {
             "th": pa.array(th, type=pa.uint64()),
             "term": flat_terms,
@@ -161,6 +131,7 @@ def explode_position_postings(batch: pa.Table, *, salt_shift: int) -> pa.Table:
             "poss": poss,
         }
     )
+    return out if keep is None else out.filter(keep)
 
 
 _POS_CHUNK_SCHEMA = pa.schema(
@@ -184,28 +155,13 @@ def encode_position_runs(batch: pa.Table) -> pa.Table:
     n = batch.num_rows
     if n == 0:
         return _POS_CHUNK_SCHEMA.empty_table()
-    term_col = batch.column("term")
-    term_arr = term_col.chunk(0) if isinstance(term_col, pa.ChunkedArray) else term_col
-    ths = batch.column("th").to_numpy()
-    salts = batch.column("salt").to_numpy()
+    term_arr, ths, salts, run_starts, run_lengths, run_ids = key_runs(batch)
+    run_bounds = np.concatenate([run_starts, [n]])
     doc_ids = batch.column("doc_id").to_numpy()
     poss_col = batch.column("poss")
     poss_arr = (
         poss_col.chunk(0) if isinstance(poss_col, pa.ChunkedArray) else poss_col
     )
-
-    change = (
-        (ths[1:] != ths[:-1])
-        | (salts[1:] != salts[:-1])
-        | pc.not_equal(
-            term_arr.slice(1), term_arr.slice(0, n - 1)
-        ).to_numpy(zero_copy_only=False)
-    )
-    run_starts = np.concatenate([[0], np.flatnonzero(change) + 1]).astype(np.int64)
-    n_runs = run_starts.size
-    run_lengths = np.diff(np.concatenate([run_starts, [n]]))
-    run_ids = np.repeat(np.arange(n_runs), run_lengths)
-    run_bounds = np.concatenate([run_starts, [n]])
 
     order = np.lexsort((doc_ids, run_ids))
     doc_s = doc_ids[order].astype(np.uint64)
@@ -230,30 +186,14 @@ def encode_position_runs(batch: pa.Table) -> pa.Table:
     starts = flat_off[:-1]
     pos_deltas[starts] = flat_pos[starts]
 
-    def run_blob(stream: np.ndarray, elem_bounds: np.ndarray) -> pa.Array:
-        """varint-encode ``stream``; slice into per-run LargeBinary by the
-        element index bounds (length n_runs + 1)."""
-        buf, sizes = codec.varint_encode_with_sizes(stream)
-        byte_off = np.zeros(stream.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=byte_off[1:])
-        bounds = byte_off[elem_bounds]
-        return pa.LargeBinaryArray.from_buffers(
-            pa.large_binary(),
-            n_runs,
-            [None, pa.py_buffer(bounds.tobytes()), pa.py_buffer(buf)],
-        )
-
-    return pa.table(
-        {
-            "th": pa.array(ths[run_starts].astype(np.uint64), type=pa.uint64()),
-            "term": term_arr.take(pa.array(run_starts, type=pa.int64())),
-            "salt": pa.array(salts[run_starts].astype(np.uint64), type=pa.uint64()),
-            "n_postings": pa.array(run_lengths.astype(np.uint64), type=pa.uint64()),
-            "doc_blob": run_blob(deltas, run_bounds),
-            "cnt_blob": run_blob(cnts, run_bounds),
-            "pos_blob": run_blob(pos_deltas, flat_off[run_bounds]),
-        }
-    )
+    columns = run_key_columns(term_arr, ths, salts, run_starts, run_lengths)
+    for name, stream, bounds in (
+        ("doc_blob", deltas, run_bounds),
+        ("cnt_blob", cnts, run_bounds),
+        ("pos_blob", pos_deltas, flat_off[run_bounds]),
+    ):
+        columns[name] = run_blobs(*varint_byte_offsets(stream), bounds)
+    return pa.table(columns)
 
 
 def decode_position_chunk(chunk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,6 +212,76 @@ def decode_position_chunk(chunk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return doc_ids, cnts, flat_pos
 
 
+def _tok_fp(cfg: PositionsConfig) -> str:
+    """Tokenize-relevant config: changing it re-tokenizes unchanged inputs."""
+    stops = json.dumps(sorted(cfg.stop_words)) if cfg.stop_words else ""
+    return (
+        f"|pos|{cfg.tokenizer}|{cfg.token_pattern}|{cfg.text_only}"
+        f"|{cfg.pre_extracted}|{cfg.char_limit}|S{stops}"
+    )
+
+
+def _write_generations(
+    store: Store,
+    manifest: BuildManifest,
+    cfg: PositionsConfig,
+    groups: list,
+    read_fs,
+    input_files: list[str],
+    *,
+    compact: bool,
+    protect: set[str],
+) -> dict:
+    """Stage 2 per wave + finalize.  There are no global stats, so no
+    avgdl: positions generations differ from BM25's only in the explode
+    and encode kernels."""
+    cfg_fp = config_fingerprint(cfg)
+    for wave in range(max(1, cfg.num_waves)):
+        plan = plan_generation(
+            store, manifest, "positions", wave, groups, cfg_fp,
+            compact=compact, protect=protect,
+        )
+        if plan is None:
+            continue
+        write_generation(
+            store,
+            manifest,
+            "positions",
+            plan,
+            read_fs=read_fs,
+            columns=["doc_id", "terms", "poss"],
+            explode=explode_position_postings,
+            explode_kwargs={
+                "salt_shift": cfg.salt_shift,
+                "num_waves": cfg.num_waves,
+                "wave": wave,
+            },
+            encode=encode_position_runs,
+            encode_kwargs={},
+            partitions_per_wave=cfg.partitions_per_wave,
+            protect=protect,
+        )
+    # the sidecar has no pinned readers: one retained snapshot, so the
+    # data of superseded generations leaves the disk with its GC
+    return manifest.finalize(
+        config=cfg.public_dict(),
+        stats={"n_files": len(input_files)},
+        extra={
+            "kind": "positions",
+            "pos_wave_gens": live_wave_gens(store, manifest, "positions"),
+            "input_files": input_files,
+        },
+        keep_manifests=1,
+    )
+
+
+def _open_sidecar(out_dir, cfg: PositionsConfig, filesystem) -> tuple:
+    store = Store.resolve(out_dir, filesystem)
+    store.mkdirs()
+    manifest = BuildManifest(store, fail_after_partitions=cfg.fail_after_partitions)
+    return store, manifest, protected_data_dirs(store)
+
+
 def build_positions_index(
     source: str | Path | list | Store,
     out_dir: str | Path | Store,
@@ -283,294 +293,37 @@ def build_positions_index(
 ) -> dict:
     """Build (or resume) the positional sidecar at ``out_dir``.
 
-    Same two-stage shape as the BM25 build: a resumable tokenized-positions
-    checkpoint (one partition per shard group), then one sorted exchange +
-    encode per wave.  Every partition commit is an attempt-dir write + a
-    record; the final manifest commits by pointer swap — identical
-    object-store discipline to ``build.build_index``.
+    The BM25 build's generation engine (``index/build.py``) with the
+    positional kernels: a resumable ``pos_tok`` checkpoint per shard group
+    (``TokenizeDocs(emit_positions=True)``), then per wave a delta
+    generation of the changed groups — one sorted exchange + encode —
+    and a pointer-swap manifest commit.
     """
-    from .build import (
-        _attempt_dir_write,
-        _normalize_pre_extracted,
-        _parquet_rows,
-        _record_dirs,
-        _resolve_source,
-        _th_bounds,
-        _effective_pool_size,
-    )
-    from ..stages.docids import read_with_doc_ids
-    from ..stages.extract import make_extract_fn
-
     cfg = cfg or PositionsConfig()
-    store = Store.resolve(out_dir, filesystem)
-    store.mkdirs()
-    manifest = BuildManifest(store, fail_after_partitions=cfg.fail_after_partitions)
+    store, manifest, protect = _open_sidecar(out_dir, cfg, filesystem)
     files, src_fs = _resolve_source(source, source_filesystem)
     if not files:
         raise ValueError(f"no parquet input files under {source}")
-
-    # ---- stage 1: tokenize with positions, per shard group -----------------
-    groups = [
-        files[i : i + cfg.shard_group_size]
-        for i in range(0, len(files), cfg.shard_group_size)
-    ]
-    tok_fp = hashlib.sha1(
-        f"{cfg.tokenizer}|{cfg.token_pattern}|{cfg.text_only}|pos".encode()
-    ).hexdigest()
-    parts_files: list[str] = []
-    group_fp_now: dict[str, str] = {}
-    group_parts: dict[str, list[str]] = {}
-    group_file_idx: dict[str, list[int]] = {}
-    if cfg.tokenized_source:
-        # the source files ARE the tokenized checkpoint (shared with the
-        # BM25 build): no pos_tok stage, stage 2 reads them directly
-        for gi, group in enumerate(groups):
-            pid = f"group-{gi:05d}"
-            fp = hashlib.sha1(
-                (file_fingerprint(group, src_fs) + tok_fp).encode()
-            ).hexdigest()
-            group_fp_now[pid] = fp
-            group_file_idx[pid] = list(
-                range(
-                    gi * cfg.shard_group_size,
-                    gi * cfg.shard_group_size + len(group),
-                )
-            )
-            group_parts[pid] = [str(f) for f in group]
-            parts_files.extend(str(f) for f in group)
-        groups = []
-    for gi, group in enumerate(groups):
-        pid = f"group-{gi:05d}"
-        fp = hashlib.sha1(
-            (file_fingerprint(group, src_fs) + tok_fp).encode()
-        ).hexdigest()
-        group_fp_now[pid] = fp
-        group_file_idx[pid] = list(
-            range(gi * cfg.shard_group_size, gi * cfg.shard_group_size + len(group))
-        )
-        if manifest.is_done("pos_tok", pid, fp):
-            rec = manifest.load_partitions()[f"pos_tok--{pid}"]
-            keep = {d.rsplit("/", 1)[-1] for d in _record_dirs(rec)}
-            gc_stale_attempts(store, "pos_tok", pid, keep)
-            parts_files.extend(rec.output_files)
-            group_parts[pid] = list(rec.output_files)
-            continue
-        t0 = time.perf_counter()
-        read_cols = ["url", "text"] if cfg.pre_extracted else ["url", "html"]
-        ds = read_with_doc_ids(
-            group,
-            read_cols,
-            file_indices=list(
-                range(gi * cfg.shard_group_size, gi * cfg.shard_group_size + len(group))
-            ),
-            filesystem=src_fs,
-        )
-        if not cfg.pre_extracted:
-            ds = ds.map_batches(
-                make_extract_fn(cfg.char_limit),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        else:
-            ds = ds.map_batches(
-                _normalize_pre_extracted, batch_format="pyarrow", zero_copy_batch=True
-            )
-        ds = ds.map_batches(
-            TokenizePositions,
-            fn_constructor_kwargs={
-                "text_only": cfg.text_only,
-                "token_pattern": cfg.token_pattern,
-                "tokenizer": cfg.tokenizer,
-                "stop_words": cfg.stop_words,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.tokenize_batch_size,
-            concurrency=_effective_pool_size(cfg.tokenize_concurrency),
-            zero_copy_batch=True,
-        )
-        out_files, dirname = _attempt_dir_write(store, ds, "pos_tok", pid)
-        manifest.commit_partition(
-            PartitionRecord(
-                stage="pos_tok",
-                partition_id=pid,
-                input_fingerprint=fp,
-                output_files=out_files,
-                metrics={
-                    "rows": _parquet_rows(out_files, store.fs),
-                    "wall_s": round(time.perf_counter() - t0, 3),
-                },
-            )
-        )
-        gc_stale_attempts(store, "pos_tok", pid, {dirname})
-        parts_files.extend(out_files)
-        group_parts[pid] = list(out_files)
-
-    # ---- stage 2: explode → sorted exchange → encode, per wave -------------
-    # GENERATIONS (the BM25 build's incremental shape, simplified — no
-    # global stats, so no avgdl rescale): a changed shard group appends a
-    # small delta generation per wave covering only its files; the query
-    # layer drops chunks whose file index was re-indexed by a later
-    # generation (salt ranges nest inside file docID ranges, so supersede is
-    # exact at chunk granularity).  Shrinking the input file set forces a
-    # full rebuild (same contract as the BM25 path).
-    recs = manifest.load_partitions()
-    for wave in range(max(1, cfg.num_waves)):
-        # prior generations whose files all still exist, ascending
-        prior: list[tuple[int, PartitionRecord]] = []
-        for key, rec in recs.items():
-            if rec.stage != "positions" or rec.lineage.get("wave") != wave:
-                continue
-            if all(store.exists_abs(f) for f in rec.output_files):
-                prior.append((int(rec.lineage.get("gen", 0)), rec))
-        prior.sort()
-        known_fps: dict[str, str] = {}
-        known_files: set[int] = set()
-        for _, rec in prior:
-            known_fps.update(rec.lineage.get("group_fps", {}))
-            known_files.update(rec.lineage.get("covers_files", []))
-        current_files = {fi for idxs in group_file_idx.values() for fi in idxs}
-        # shrinking detection must compare FILE INDEX coverage, not group
-        # ids: dropping a trailing file leaves every group id alive but its
-        # old chunks unsuperseded (a delta gen only covers current files)
-        shrunk = (
-            any(p not in group_fp_now for p in known_fps)
-            or bool(known_files - current_files)
-        )
-        if shrunk or not prior:
-            dirty = sorted(group_fp_now)
-            next_gen = 0
-        elif compact and len(prior) > 1:
-            # compaction: a NEW generation covering every group supersedes
-            # the fragmented history; the old generations stay on disk (and
-            # the previously committed manifest stays valid) until
-            # compact_positions_index GCs them after the new commit
-            dirty = sorted(group_fp_now)
-            next_gen = prior[-1][0] + 1
-        else:
-            dirty = sorted(
-                p for p, fp in group_fp_now.items() if known_fps.get(p) != fp
-            )
-            next_gen = prior[-1][0] + 1
-        if prior and not dirty and not shrunk:
-            for _, rec in prior:
-                keep = {d.rsplit("/", 1)[-1] for d in _record_dirs(rec)}
-                gc_stale_attempts(store, "positions", rec.partition_id, keep)
-            continue
-        if next_gen == 0:
-            # full rebuild supersedes everything: drop stale records so the
-            # finalize below only sees the live generation
-            for _, rec in prior:
-                manifest.delete_partition(rec.key())
-        pid = f"wave-{wave:04d}-gen-{next_gen:04d}"
-        dirty_files = sorted(f for p in dirty for f in group_parts[p])
-        gen_fp = hashlib.sha1(
-            ("|".join(dirty_files) + f"|{cfg.salt_shift}|{wave}").encode()
-        ).hexdigest()
-        t0 = time.perf_counter()
-        ds = ray.data.read_parquet(
-            dirty_files,
-            columns=["doc_id", "terms", "poss"],
-            override_num_blocks=cfg.partitions_per_wave * 2,
-            # tokenized_source reads the BM25 build's checkpoint in place
-            # (its store may be a different pyarrow.fs than ours)
-            filesystem=src_fs if cfg.tokenized_source else store.fs,
-        )
-        ds = ds.map_batches(
-            explode_position_postings,
-            fn_kwargs={"salt_shift": cfg.salt_shift},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        if cfg.num_waves > 1:
-            w = np.uint64(cfg.num_waves)
-            wv = np.uint64(wave)
-
-            def in_wave(batch: pa.Table, _w=w, _wv=wv) -> pa.Table:
-                th = batch.column("th").to_numpy()
-                return batch.filter(pa.array((th % _w) == _wv))
-
-            ds = ds.map_batches(in_wave, batch_format="pyarrow", zero_copy_batch=True)
-        ds = ds.sort(["th", "salt"])
-        ds = ds.map_batches(
-            encode_position_runs,
-            batch_format="pyarrow",
-            batch_size=None,
-            zero_copy_batch=True,
-        )
-        out_files, dirname = _attempt_dir_write(
-            store, ds, "positions", pid, row_group_size=2048
-        )
-        bounds = _th_bounds(out_files, store.fs)
-        manifest.commit_partition(
-            PartitionRecord(
-                stage="positions",
-                partition_id=pid,
-                input_fingerprint=gen_fp,
-                output_files=out_files,
-                metrics={
-                    "chunk_rows": _parquet_rows(out_files, store.fs),
-                    "wall_s": round(time.perf_counter() - t0, 3),
-                },
-                lineage={
-                    "wave": wave,
-                    "gen": next_gen,
-                    "full": next_gen == 0 or set(dirty) == set(group_fp_now),
-                    "th_bounds": bounds,
-                    "group_fps": {p: group_fp_now[p] for p in dirty},
-                    "covers_files": sorted(
-                        fi for p in dirty for fi in group_file_idx[p]
-                    ),
-                },
-            )
-        )
-        gc_stale_attempts(store, "positions", pid, {dirname})
-
-    # ---- finalize: per-wave generation lists (live suffix) -----------------
-    wave_gens: dict[int, list[dict]] = {}
-    for rec in manifest.load_partitions().values():
-        if rec.stage != "positions":
-            continue
-        wave_gens.setdefault(rec.lineage.get("wave", 0), []).append(
-            {
-                "gen": int(rec.lineage.get("gen", 0)),
-                "full": bool(
-                    rec.lineage.get("full") or rec.lineage.get("gen", 0) == 0
-                ),
-                "files": rec.output_files,
-                "th_bounds": rec.lineage.get("th_bounds")
-                or _th_bounds(rec.output_files, store.fs),
-                "covers_files": rec.lineage.get("covers_files", []),
-            }
-        )
-    for w in wave_gens:
-        wave_gens[w].sort(key=lambda g: g["gen"])
-        # generations older than the newest FULL one are fully superseded:
-        # expose only the live suffix (stale dirs/records are GC'd by
-        # compact_positions_index AFTER this manifest commits)
-        base = max(
-            (i for i, g in enumerate(wave_gens[w]) if g["full"]), default=0
-        )
-        wave_gens[w] = wave_gens[w][base:]
-    return manifest.finalize(
-        config=cfg.public_dict(),
-        stats={"n_files": len(files)},
-        extra={
-            "kind": "positions",
-            # flat lists kept for older readers; generation-aware readers
-            # use pos_wave_gens + the supersede rule
-            "pos_waves": {
-                str(w): [f for g in gens for f in g["files"]]
-                for w, gens in sorted(wave_gens.items())
-            },
-            "pos_th_bounds": {
-                str(w): [b for g in gens for b in g["th_bounds"]]
-                for w, gens in sorted(wave_gens.items())
-            },
-            "pos_wave_gens": {
-                str(w): gens for w, gens in sorted(wave_gens.items())
-            },
-            "input_files": files,
+    groups = tokenize_groups(
+        store,
+        manifest,
+        "pos_tok",
+        files,
+        src_fs,
+        cfg,
+        _tok_fp(cfg),
+        {
+            "text_only": cfg.text_only,
+            "token_pattern": cfg.token_pattern,
+            "tokenizer": cfg.tokenizer,
+            "stop_words": cfg.stop_words,
+            "with_preview": False,
+            "emit_positions": True,
         },
+        protect=protect,
+    )
+    return _write_generations(
+        store, manifest, cfg, groups, store.fs, files, compact=compact, protect=protect
     )
 
 
@@ -591,13 +344,11 @@ def build_positions_from_index(
     stop words, doc builder) is taken from the INDEX manifest, never from
     the caller, so phrase/NEAR position arithmetic can't diverge from the
     paired BM25 index's query tokenization.  Extract + tokenize are skipped
-    entirely: positions go straight to the sorted exchange + encode.
+    entirely: the committed manifest's ``docs_tok`` group records, with
+    their input-file indices, go straight to the generation engine.
     """
     idx_store = Store.resolve(index_dir, index_filesystem)
     man = load_manifest(idx_store)
-    docs_files = man.get("docs_files")
-    if not docs_files:
-        raise ValueError(f"no docs_files in manifest at {index_dir}")
     bc = man.get("config", {})
     if not bc.get("emit_positions"):
         raise ValueError(
@@ -608,7 +359,6 @@ def build_positions_from_index(
     base = cfg or PositionsConfig()
     cfg = dataclasses.replace(
         base,
-        tokenized_source=True,
         pre_extracted=True,
         token_pattern=bc.get("token_pattern", base.token_pattern),
         tokenizer=bc.get("tokenizer", base.tokenizer),
@@ -616,12 +366,19 @@ def build_positions_from_index(
         text_only=bc.get("text_only", bc.get("doc_builder") == "text"),
         salt_shift=bc.get("salt_shift", base.salt_shift),
     )
-    return build_positions_index(
-        docs_files,
-        out_dir,
-        cfg,
-        filesystem=filesystem,
-        source_filesystem=idx_store.fs,
+    recs = {
+        p["partition_id"]: PartitionRecord(**p)
+        for p in man["partitions"]
+        if p["stage"] == "docs_tok"
+    }
+    groups = [
+        checkpoint_group(recs[pid], idxs)
+        for pid, _, idxs in group_plan(man["input_files"], bc["shard_group_size"])
+    ]
+    store, manifest, protect = _open_sidecar(out_dir, cfg, filesystem)
+    return _write_generations(
+        store, manifest, cfg, groups, idx_store.fs, man["input_files"],
+        compact=False, protect=protect,
     )
 
 
@@ -640,46 +397,13 @@ def compact_positions_index(
     only AFTER the new manifest commits are the superseded generations'
     records and attempt directories deleted.  Tokenized-position
     checkpoints are reused, so tokenization is not repeated."""
-    from .build import _record_dirs
-
     store = Store.resolve(out_dir, filesystem)
     if cfg is None:
-        recorded = dict(load_manifest(store)["config"])
-        cfg = PositionsConfig(**recorded)
+        cfg = PositionsConfig(**load_manifest(store)["config"])
     result = build_positions_index(
         source, store, cfg, compact=True, source_filesystem=source_filesystem
     )
-
-    manifest = BuildManifest(store)
-    by_wave: dict[int, list] = {}
-    for rec in manifest.load_partitions().values():
-        if rec.stage == "positions":
-            by_wave.setdefault(rec.lineage.get("wave"), []).append(rec)
-    removed = False
-    for recs in by_wave.values():
-        recs.sort(key=lambda r: r.lineage.get("gen", 0))
-        base = 0
-        for i, r in enumerate(recs):
-            if r.lineage.get("full") or r.lineage.get("gen", 0) == 0:
-                base = i
-        for r in recs[:base]:
-            # record first (a half-done GC never resurrects the gen)
-            manifest.delete_partition(r.key())
-            for d in _record_dirs(r):
-                store.delete_dir_abs(d)
-            removed = True
-    if removed:
-        man = load_manifest(store)
-        result = manifest.finalize(
-            config=man["config"],
-            stats=man["stats"],
-            extra={
-                k: man[k]
-                for k in man
-                if k not in ("format_version", "config", "stats", "partitions")
-            },
-        )
-    return result
+    return gc_superseded_generations(store, "positions", keep_manifests=1) or result
 
 
 class PositionsIndex:
@@ -700,21 +424,7 @@ class PositionsIndex:
             stop_words=cfg.get("stop_words"),
         )
         self.salt_shift = int(cfg.get("salt_shift", DEFAULT_SALT_SHIFT))
-        raw_gens = self.manifest.get("pos_wave_gens")
-        if raw_gens is None:  # legacy single-generation sidecars
-            raw_gens = {
-                w: [
-                    {
-                        "gen": 0,
-                        "files": fls,
-                        "th_bounds": self.manifest.get("pos_th_bounds", {}).get(
-                            w, []
-                        ),
-                        "covers_files": [],
-                    }
-                ]
-                for w, fls in self.manifest["pos_waves"].items()
-            }
+        raw_gens = self.manifest["pos_wave_gens"]
         # per-wave ascending generations with the set of file indices a
         # LATER generation re-indexed (chunks from those are superseded)
         self._wave_gens: dict[int, list[dict]] = {}
