@@ -235,3 +235,33 @@ def test_gen_file_pruning_interval_select(tmp_path):
     assert {p.rsplit("/", 1)[-1] for p in sel} == {"f0.parquet"}
     sel = Searcher._gen_files_for_ths(gen, np.array([99], dtype=np.uint64))
     assert sel == []
+
+
+def test_searcher_refuses_other_posting_codec(built_index, tmp_path):
+    """An index an earlier version built with a bit-packing posting codec
+    must be rebuilt: varint decode would misread its streams silently."""
+    import json
+    import shutil
+
+    import pytest
+
+    out, _ = built_index
+    copy = tmp_path / "idx"
+    copy.mkdir()
+    for f in out.iterdir():
+        if f.is_file():  # snapshot objects and the pointer, no data
+            shutil.copy(f, copy / f.name)
+    name = json.loads((copy / "CURRENT").read_text())["manifest"]
+
+    def set_codec(value):
+        man = json.loads((copy / name).read_text())
+        man["config"]["posting_codec"] = value
+        (copy / name).write_text(json.dumps(man))
+
+    set_codec("varint")
+    assert Searcher(copy).search("needledfone", k=3) == Searcher(out).search(
+        "needledfone", k=3
+    )
+    set_codec("bitpack")
+    with pytest.raises(ValueError, match="'bitpack'.*rebuild"):
+        Searcher(copy)

@@ -242,3 +242,49 @@ def test_dropped_file_forces_full_rebuild(ray_session, tmp_path):
         assert s_incr.search(q["query"], k=10, method="exact") == s_fresh.search(
             q["query"], k=10, method="exact"
         ), q["query"]
+
+
+def test_wave_count_change_keeps_tokenize_checkpoint(ray_session, tmp_path):
+    """The docs_tok checkpoint does not depend on num_waves: changing the
+    wave count re-runs only stage 2, and the result equals a fresh build."""
+    pages = write_pages(tmp_path / "pages", 400, seed=42, rows_per_file=100)
+    base = dict(shard_group_size=2, partitions_per_wave=2, tokenize_concurrency=2)
+    idx = tmp_path / "idx"
+    build_index(pages, idx, BuildConfig(num_waves=2, **base))
+
+    def tok_files():
+        return {
+            p.name: json.loads(p.read_text())["output_files"]
+            for p in (idx / "_manifest").glob("docs_tok--*.json")
+        }
+
+    before = tok_files()
+    manifest = build_index(pages, idx, BuildConfig(num_waves=1, **base))
+    assert tok_files() == before and len(before) == 2
+    assert [g["gen"] for g in manifest["wave_gens"]["0"]] == [0]
+    assert set(manifest["wave_gens"]) == {"0"}
+
+    fresh = tmp_path / "idx_fresh"
+    build_index(pages, fresh, BuildConfig(num_waves=1, **base))
+    s_re, s_fresh = Searcher(idx), Searcher(fresh)
+    for q in generate_queries(40, seed=7):
+        assert s_re.search(q["query"], k=10, method="exact") == s_fresh.search(
+            q["query"], k=10, method="exact"
+        ), q["query"]
+
+
+def test_compact_ignores_unknown_config_keys(ray_session, tmp_path):
+    """compact_index without a config rebuilds from the manifest's, which
+    an earlier version may have written with knobs that are gone now."""
+    from vexor_ray.index.build import compact_index
+
+    pages = write_pages(tmp_path / "pages", 200, seed=42, rows_per_file=100)
+    idx = tmp_path / "idx"
+    build_index(pages, idx, _cfg(num_waves=1))
+    name = json.loads((idx / "CURRENT").read_text())["manifest"]
+    man = json.loads((idx / name).read_text())
+    man["config"]["retired_knob"] = 256
+    (idx / name).write_text(json.dumps(man))
+    want = Searcher(idx).search("needledfone", k=5)
+    compact_index(pages, idx)
+    assert Searcher(idx).search("needledfone", k=5) == want

@@ -3,6 +3,7 @@ dirs stay — on the local fs and the no-rename object-store double."""
 
 from __future__ import annotations
 
+import json
 import os
 import time
 
@@ -10,6 +11,8 @@ import pytest
 
 from vexor_ray.fixtures.pages import write_pages
 from vexor_ray.index.build import BuildConfig, build_index
+from vexor_ray.index.manifest import load_manifest
+from vexor_ray.index.positions import PositionsConfig, build_positions_index
 from vexor_ray.index.storage import Store, no_rename_filesystem
 from vexor_ray.index.vacuum import vacuum_index
 from vexor_ray.query.searcher import Searcher
@@ -93,3 +96,33 @@ def test_vacuum_on_object_store(ray_session, tmp_path):
     assert any(d.endswith("--feedface") for d in res["deleted"])
     assert not root.exists()
     assert Searcher(idx).search("needledfone", k=3)
+
+
+def test_vacuum_cleans_positions_sidecar(vac_idx, tmp_path):
+    pos = tmp_path / "pos"
+    build_positions_index(
+        vac_idx.parent / "pages",
+        pos,
+        PositionsConfig(
+            num_waves=1, partitions_per_wave=2, shard_group_size=1,
+            tokenize_concurrency=2, salt_shift=8,
+        ),
+    )
+    live = [d for parent in ("pos_tok", "positions") for d in (pos / parent).iterdir()]
+    assert live
+    # a dir only a retained older snapshot references
+    pinned = _plant_orphan(pos, "positions", "wave-0000-gen-0000--5eed5eed")
+    snap = load_manifest(pos)
+    snap["partitions"].append(
+        {"stage": "positions", "output_files": [str(pinned / "leak.parquet")]}
+    )
+    (pos / "manifest-00000000-5eed5eed.json").write_text(json.dumps(snap))
+    orphans = [
+        _plant_orphan(pos, "pos_tok", "group-00000--0dd0dd00"),
+        _plant_orphan(pos, "positions", "wave-0000-gen-0000--0dd0dd01"),
+    ]
+
+    res = vacuum_index(pos, min_age_s=0)
+    assert sorted(res["deleted"]) == sorted(str(d) for d in orphans)
+    assert not any(d.exists() for d in orphans)
+    assert pinned.exists() and all(d.exists() for d in live)

@@ -127,22 +127,6 @@ def hash_embed_batch(
     )
 
 
-def embed_documents(
-    docs: ray.data.Dataset,
-    *,
-    dim: int = DEFAULT_EMBED_DIM,
-    mode: str = "char",
-    n: int = _NGRAM,
-    idf: np.ndarray | None = None,
-) -> ray.data.Dataset:
-    return docs.map_batches(
-        hash_embed_batch,
-        fn_kwargs={"dim": dim, "mode": mode, "n": n, "idf": idf},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def bucket_doc_freq(
     docs: ray.data.Dataset,
     *,

@@ -50,10 +50,6 @@ def hash_terms_arrow(arr) -> np.ndarray:
     return hu[de.indices.to_numpy()].view(np.uint64)
 
 
-def term_wave(terms: np.ndarray, num_waves: int) -> np.ndarray:
-    return hash_terms(terms) % np.uint64(num_waves)
-
-
 def file_fingerprint(paths: list[str | Path], filesystem=None) -> str:
     """Cheap input fingerprint: sha1 over (name, size, mtime_ns) per file.
 

@@ -95,26 +95,13 @@ class BuildConfig:
     # JSON-safe and secret-free (api keys named by env var, never stored).
     embed_provider: dict | None = None
     block_size: int = POSTING_BLOCK_SIZE
-    # posting-stream codec: "varint" (LEB128, fastest encode) or "pfor"
-    # (patched frame-of-reference bit-packing, codec.pfor_encode_blocks —
-    # 25-75% smaller posting streams at ~1.5x encode cost; decode within
-    # ~2x of varint).  Recorded in the manifest; the query layer dispatches
-    # per chunk, so federation across mixed-codec indexes just works.
-    posting_codec: str = "varint"
     salt_shift: int = DEFAULT_SALT_SHIFT
     num_waves: int = DEFAULT_NUM_WAVES
-    # Bucket docs_tok term lists into per-wave columns at tokenize time so
-    # each wave's read prunes to 1/W of the term data.  Measured A/B at 400k
-    # pages, W=2: flat + explode-time wave filter wins (the extra list
-    # columns cost more in checkpoint write + read than the 2x term-column
-    # re-read saves), so this defaults OFF; it exists for high-W builds
-    # where W-fold read amplification dominates.
-    wave_bucketed_tok: bool = False
     # emit_positions → the docs_tok checkpoint carries a ``poss`` column
     # (1-based positions per distinct term), so the positions sidecar can
     # be built from this ONE tokenize pass
     # (positions.build_positions_from_index) instead of re-extracting and
-    # re-tokenizing the corpus.  Incompatible with wave_bucketed_tok.
+    # re-tokenizing the corpus.
     emit_positions: bool = False
     partitions_per_wave: int = 8
     # "sort": range-partitioned sort by (term, salt) — robust, skew splits
@@ -123,13 +110,8 @@ class BuildConfig:
     #   actors — the classic term-partitioned exchange.
     shuffle_backend: str = "sort"
     shard_group_size: int = 8
-    extract_batch_size: int = 256
     tokenize_batch_size: int = 1024
     tokenize_concurrency: int = 4
-    # max concurrent encode tasks per node: the encoder saturates memory
-    # bandwidth around 8 tasks; beyond that extra tasks only contend
-    # (see _encode_task_cpus).  0 disables the cap (1 CPU per task).
-    encode_max_concurrent: int = 8
     # Store the impact-ordered companion layout next to each posting chunk
     # (codec.encode_impact) enabling the Threshold-Algorithm scorer
     # (query/impact.py) — exact early termination for cold selective
@@ -185,16 +167,11 @@ def explode_postings(
     salt_shift: int,
     num_waves: int,
     wave: int | None,
-    terms_col: str = "terms",
-    tfs_col: str = "tfs",
 ) -> pa.Table:
     """(doc_id, doc_len, terms, tfs) → flat (term, salt, doc_id, tf, dl) rows.
 
-    Arrow list-flatten (zero per-row Python).  ``wave`` filters by term-hash
-    wave for FLAT inputs; wave-bucketed docs_tok checkpoints (``terms_w{k}``
-    columns, see ``TokenizeDocs``) pass ``wave=None`` with the bucket's
-    column names — membership was decided at tokenize time and the per-wave
-    read pruned to 1/W of the term data via parquet column selection.
+    Arrow list-flatten (zero per-row Python); ``wave`` keeps only the rows of
+    that term-hash wave (None: every row).
     """
     batch = batch.combine_chunks()
     if batch.num_rows == 0:
@@ -208,12 +185,12 @@ def explode_postings(
                 "dl": pa.array([], type=pa.uint32()),
             }
         )
-    terms_list = batch.column(terms_col)
+    terms_list = batch.column("terms")
     flat_terms = pc.list_flatten(terms_list)
     parent = pc.list_parent_indices(terms_list)
     doc_ids = pc.take(batch.column("doc_id"), parent)
     dls = pc.take(batch.column("doc_len"), parent)
-    tfs = pc.list_flatten(batch.column(tfs_col))
+    tfs = pc.list_flatten(batch.column("tfs"))
 
     if isinstance(flat_terms, pa.ChunkedArray):
         flat_terms = flat_terms.combine_chunks()
@@ -368,7 +345,6 @@ def encode_runs(
     k1: float,
     b: float,
     impact: bool = False,
-    posting_codec: str = codec.CODEC_VARINT,
 ) -> pa.Table:
     """Encode complete (term, salt) runs of a hash-partitioned, key-sorted block.
 
@@ -417,29 +393,18 @@ def encode_runs(
 
     columns = run_key_columns(term_arr, ths, salts, run_starts, run_lengths)
 
-    # one codec pass per stream; per-run/per-block layout from size prefix
-    # sums.  For pfor the sizes are per BLOCK, expanded to a per-value
-    # byte_off that is exact at every block/run boundary — the only indices
-    # _run_relative_offsets reads.
-    def put_stream(prefix: str, stream: np.ndarray, pfor: bool = False) -> None:
-        if pfor:
-            buf, blk_sizes = codec.pfor_encode_blocks(stream, block_starts, block_ends)
-            blk_off = np.zeros(block_starts.size + 1, dtype=np.int64)
-            np.cumsum(blk_sizes, out=blk_off[1:])
-            byte_off = np.zeros(n + 1, dtype=np.int64)
-            byte_off[:n] = np.repeat(blk_off[:-1], block_ends - block_starts)
-            byte_off[n] = blk_off[-1]
-        else:
-            buf, byte_off = varint_byte_offsets(stream)
+    # one varint pass per stream; per-run/per-block layout from byte-size
+    # prefix sums
+    def put_stream(prefix: str, stream: np.ndarray) -> None:
+        buf, byte_off = varint_byte_offsets(stream)
         columns[f"{prefix}_blob"] = run_blobs(buf, byte_off, run_bounds)
         values, list_off = _run_relative_offsets(
             byte_off, run_starts, block_starts, block_run, blocks_per_run, n
         )
         columns[f"{prefix}_off"] = _offsets_list_array(values, list_off, pa.uint32())
 
-    pfor = posting_codec == codec.CODEC_PFOR
     for prefix, stream in (("doc", deltas), ("tf", tf_s), ("dl", dl_s)):
-        put_stream(prefix, stream, pfor)
+        put_stream(prefix, stream)
     blk_list_off = np.zeros(n_runs + 1, dtype=np.int64)
     np.cumsum(blocks_per_run, out=blk_list_off[1:])
     columns["block_last"] = _offsets_list_array(block_last, blk_list_off, pa.uint64())
@@ -489,10 +454,11 @@ def compact_index(
     if cfg is None:
         # recover the index's own build config from the committed manifest —
         # compacting with defaults could silently re-tokenize under
-        # different settings
-        recorded = dict(load_manifest(store)["config"])
-        recorded.pop("term_hasher", None)
-        cfg = BuildConfig(**recorded)
+        # different settings; recorded keys that are not fields (term_hasher,
+        # knobs an earlier version had) are dropped
+        recorded = load_manifest(store)["config"]
+        fields = {f.name for f in dataclasses.fields(BuildConfig)}
+        cfg = BuildConfig(**{k: v for k, v in recorded.items() if k in fields})
     result = build_index(
         source, store, cfg, compact=True, source_filesystem=source_filesystem
     )
@@ -503,6 +469,14 @@ def compact_index(
 # --------------------------------------------------------------------------
 # build driver
 # --------------------------------------------------------------------------
+
+
+# extract map_batches batch size (pages per html-extract call)
+EXTRACT_BATCH_SIZE = 256
+# max concurrent encode tasks per node: the encoder saturates memory
+# bandwidth around 8 tasks; beyond that extra tasks only contend
+# (see _encode_task_cpus)
+ENCODE_MAX_CONCURRENT = 8
 
 
 def _encode_task_cpus(max_concurrent: int) -> float:
@@ -759,7 +733,6 @@ def tokenize_groups(
     *,
     protect: set[str],
     ledger_urls: list[str] | None = None,
-    extract_batch_size: int = 256,
 ) -> list[ShardGroup]:
     """Stage 1: read + extract + ``TokenizeDocs`` into one checkpoint
     partition per shard group, skipping groups whose record matches the
@@ -792,7 +765,7 @@ def tokenize_groups(
             ds = ds.map_batches(
                 make_extract_fn(cfg.char_limit),
                 batch_format="pyarrow",
-                batch_size=extract_batch_size,
+                batch_size=EXTRACT_BATCH_SIZE,
                 zero_copy_batch=True,
             )
         else:
@@ -1156,10 +1129,10 @@ def build_index(
     # ---- stage 1: extract + tokenize, one partition per shard group -------
     # tokenize-relevant config is part of the group fingerprint: changing the
     # tokenizer / doc builder must re-tokenize even when inputs are unchanged
+    # (num_waves is stage 2's alone: config_fingerprint covers it)
     tok_fp = (
         f"|{cfg.token_pattern}|{cfg.text_only}|{cfg.doc_builder}|{cfg.tokenizer}"
-        f"|{cfg.char_limit}|{cfg.pre_extracted}|W{cfg.num_waves}"
-        f"|B{int(cfg.wave_bucketed_tok)}"
+        f"|{cfg.char_limit}|{cfg.pre_extracted}"
         f"|X{int(cfg.emit_positions)}"
         f"|E{cfg.embed_dim}:{cfg.embed_mode}"
         f"|M{hashlib.sha1(json.dumps(cfg.bpe_merges).encode()).hexdigest() if cfg.bpe_merges else ''}"
@@ -1179,7 +1152,6 @@ def build_index(
             "token_pattern": cfg.token_pattern,
             "doc_builder": cfg.doc_builder,
             "tokenizer": cfg.tokenizer,
-            "num_waves": cfg.num_waves if cfg.wave_bucketed_tok else 0,
             "embed_dim": cfg.embed_dim,
             "embed_mode": cfg.embed_mode,
             "embed_provider": cfg.embed_provider,
@@ -1189,7 +1161,6 @@ def build_index(
         },
         protect=protect,
         ledger_urls=ledger_urls,
-        extract_batch_size=cfg.extract_batch_size,
     )
 
     # ---- corpus stats (docIDs already assigned from lineage) ---------------
@@ -1236,26 +1207,18 @@ def build_index(
         )
         if plan is None:
             continue
-        if cfg.wave_bucketed_tok and cfg.num_waves > 1:
-            tcol, fcol = f"terms_w{wave}", f"tfs_w{wave}"
-            wave_arg = None  # bucketed at tokenize time, nothing to filter
-        else:
-            tcol, fcol = "terms", "tfs"
-            wave_arg = wave if cfg.num_waves > 1 else None
         write_generation(
             store,
             manifest,
             "segments",
             plan,
             read_fs=store.fs,
-            columns=["doc_id", "doc_len", tcol, fcol],
+            columns=["doc_id", "doc_len", "terms", "tfs"],
             explode=explode_postings,
             explode_kwargs={
                 "salt_shift": cfg.salt_shift,
                 "num_waves": cfg.num_waves,
-                "wave": wave_arg,
-                "terms_col": tcol,
-                "tfs_col": fcol,
+                "wave": wave if cfg.num_waves > 1 else None,
             },
             encode=encode_runs,
             encode_kwargs={
@@ -1264,16 +1227,11 @@ def build_index(
                 "k1": cfg.k1,
                 "b": cfg.b,
                 "impact": cfg.impact_postings,
-                "posting_codec": cfg.posting_codec,
             },
             partitions_per_wave=cfg.partitions_per_wave,
             protect=protect,
             hash_shuffle=cfg.shuffle_backend == "hash",
-            encode_cpus=(
-                _encode_task_cpus(cfg.encode_max_concurrent)
-                if cfg.encode_max_concurrent
-                else 1.0
-            ),
+            encode_cpus=_encode_task_cpus(ENCODE_MAX_CONCURRENT),
             lineage={"avgdl": avg_doc_len, "config": cfg.public_dict()},
         )
 

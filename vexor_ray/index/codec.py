@@ -32,16 +32,6 @@ from ..spec import BM25_B, BM25_K1, POSTING_BLOCK_SIZE
 _U64 = np.uint64
 _MAX_VARINT_BYTES = 10
 
-# posting-stream codecs (BuildConfig.posting_codec, recorded in the
-# manifest config — an index is single-codec because any config change
-# forces its waves to rebuild).  "pfor" is the patched-frame-of-reference
-# family: per block, values are bit-packed at the width covering all but
-# <= m/8 outliers, and the outliers ("exceptions") patch their high bits
-# back from a varint sidecar.  The impact-ordered companion streams
-# (imp_*) always stay varint — only head blocks are ever decoded there.
-CODEC_VARINT = "varint"
-CODEC_PFOR = "pfor"
-
 
 def varint_encode_with_sizes(values: np.ndarray) -> tuple[bytes, np.ndarray]:
     """LEB128-encode a uint64 array; also return per-value byte sizes."""
@@ -99,247 +89,6 @@ def varint_decode(buf: bytes | memoryview) -> np.ndarray:
     return vals
 
 
-_POW2 = (_U64(1) << np.arange(64, dtype=_U64)).astype(_U64)
-
-
-def _bit_lengths(v: np.ndarray) -> np.ndarray:
-    """Per-value bit length of a uint64 array (0 for 0), one searchsorted."""
-    return np.searchsorted(_POW2, v, side="right").astype(np.int64)
-
-
-def pfor_encode_blocks(
-    values: np.ndarray,
-    block_starts: np.ndarray,
-    block_ends: np.ndarray,
-) -> tuple[bytes, np.ndarray]:
-    """Patched-frame-of-reference encode of per-block value slices.
-
-    Per block of ``m`` uint64 values::
-
-        [0]            width b (uint8, 0..64)
-        [1]            n_exc  (uint8; exceptions, <= m // 8)
-        [2 : 2+ceil(m*b/8)]   low b bits of every value, LSB-first bitstream
-        [... + n_exc]  exception positions within the block (uint8)
-        [... end]      exception high parts (value >> b) as LEB128 varints
-
-    ``b`` is the exact (m-1-m//8)-th order statistic of the block's bit
-    lengths — the smallest width leaving at most m//8 exceptions.  Every
-    step below is vectorized across ALL blocks (one lexsort for the order
-    statistics, one ``np.packbits`` per bounded slab for the bitstreams,
-    one varint pass for all exception highs).
-
-    Returns ``(buffer, per_block_byte_sizes)``.
-    """
-    v = np.ascontiguousarray(values, dtype=_U64)
-    starts = np.asarray(block_starts, dtype=np.int64)
-    ends = np.asarray(block_ends, dtype=np.int64)
-    K = starts.size
-    m = ends - starts
-    n = int(v.size)
-    if n == 0 or K == 0:
-        return b"", np.zeros(K, dtype=np.int64)
-    if int(m.max()) > 256:
-        raise ValueError("pfor blocks must hold <= 256 values (uint8 pos)")
-    rep = np.repeat(np.arange(K, dtype=np.int64), m)
-
-    L = _bit_lengths(v)
-    # per-block width = the smallest w whose exception count (#values with
-    # L > w) is <= m//8 — from one bincount histogram of (block, L) pairs
-    # and a reversed cumsum, no sort
-    e_allow = m // 8
-    hist = np.bincount(rep * 65 + L, minlength=K * 65).reshape(K, 65)
-    tail = hist[:, ::-1].cumsum(axis=1)[:, ::-1]  # tail[k,l] = #(L >= l)
-    exc_if = np.zeros((K, 65), dtype=np.int64)
-    exc_if[:, :-1] = tail[:, 1:]  # exceptions at width l = #(L > l)
-    b = np.argmax(exc_if <= e_allow[:, None], axis=1).astype(np.uint8)
-    b_rep = b[rep]
-
-    is_exc = L > b_rep  # count per block <= e_allow by the order statistic
-    n_exc = np.bincount(rep[is_exc], minlength=K).astype(np.int64)
-    # exceptions imply b < L <= 64, so the shift below never reaches 64
-    exc_idx = np.flatnonzero(is_exc)
-    exc_high = v[exc_idx] >> b_rep[exc_idx].astype(_U64)
-    exc_pos = (exc_idx - starts[rep[exc_idx]]).astype(np.uint8)
-    hi_buf, hi_sizes = varint_encode_with_sizes(exc_high)
-    hi_bytes = np.zeros(K, dtype=np.int64)
-    np.add.at(hi_bytes, rep[exc_idx], hi_sizes)
-
-    packed_bytes = (m * b.astype(np.int64) + 7) // 8
-    total = 2 + packed_bytes + n_exc + hi_bytes
-    off = np.zeros(K + 1, dtype=np.int64)
-    np.cumsum(total, out=off[1:])
-    # +8 pad: a value's shifted-byte window may graze past its packed
-    # section with ZERO bytes (value < 2^b, so bits beyond (i+1)*b are 0);
-    # OR-ing zeros into following sections is harmless, and the pad absorbs
-    # the very last window
-    out = np.zeros(int(off[-1]) + 8, dtype=np.uint8)
-
-    # headers
-    out[off[:K]] = b
-    out[off[:K] + 1] = n_exc.astype(np.uint8)
-
-    # low-bit bitstreams, packed in uint64 WORD space per width group: all
-    # blocks of width w pack together — a [G, n_words] word matrix where
-    # value i of every block lands at word (i*w)//64 shift (i*w)%64 (plus a
-    # spill word when it straddles) — one short loop over the ≤block_size
-    # value positions, every iteration a G-wide vector op.  The packed
-    # section of block g is then the first ceil(m_g*w/8) bytes of its
-    # (little-endian) word row, scattered into ``out`` in one shot.
-    low_mask = np.where(
-        b_rep < 64,
-        (_U64(1) << b_rep.astype(_U64)) - _U64(1),
-        ~_U64(0),
-    )
-    low = v & low_mask
-    for width in np.unique(b):
-        w = int(width)
-        if w == 0:
-            continue
-        blks = np.flatnonzero(b == width)
-        mg = m[blks]
-        m_max = int(mg.max())
-        G = blks.size
-        n_words = (m_max * w + 63) // 64 + 1
-        words = np.zeros((G, n_words), dtype=_U64)
-        # padded value matrix [G, m_max]
-        V = np.zeros((G, m_max), dtype=_U64)
-        vsel = np.repeat(starts[blks], mg) + (
-            np.arange(int(mg.sum())) - np.repeat(np.cumsum(mg) - mg, mg)
-        )
-        row = np.repeat(np.arange(G), mg)
-        col = np.arange(int(mg.sum())) - np.repeat(np.cumsum(mg) - mg, mg)
-        V[row, col] = low[vsel]
-        for i in range(m_max):
-            wi, sh = divmod(i * w, 64)
-            col_v = V[:, i]
-            words[:, wi] |= col_v << _U64(sh)
-            if sh + w > 64:
-                words[:, wi + 1] |= col_v >> _U64(64 - sh)
-        wbytes = words.view(np.uint8).reshape(G, n_words * 8)
-        pk = packed_bytes[blks]
-        pk_cum = np.zeros(G + 1, dtype=np.int64)
-        np.cumsum(pk, out=pk_cum[1:])
-        within_b = np.arange(int(pk_cum[-1])) - np.repeat(pk_cum[:-1], pk)
-        src = wbytes[np.repeat(np.arange(G), pk), within_b]
-        tgt = np.repeat(off[blks] + 2, pk) + within_b
-        out[tgt] = src
-
-    # exception positions + high-part varints
-    if exc_idx.size:
-        exc_blk = rep[exc_idx]
-        within = np.arange(exc_idx.size, dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(n_exc)[:-1]]), n_exc
-        )
-        pos_sec = off[:K] + 2 + packed_bytes
-        out[pos_sec[exc_blk] + within] = exc_pos
-        hi_sec = pos_sec + n_exc
-        blk_hi_start = np.zeros(K, dtype=np.int64)
-        np.cumsum(hi_bytes[:-1], out=blk_hi_start[1:])
-        hi_cum = np.zeros(exc_idx.size + 1, dtype=np.int64)
-        np.cumsum(hi_sizes, out=hi_cum[1:])
-        per_exc_tgt = hi_sec[exc_blk] + (hi_cum[:-1] - blk_hi_start[exc_blk])
-        tgt = np.repeat(per_exc_tgt, hi_sizes) + (
-            np.arange(int(hi_cum[-1])) - np.repeat(hi_cum[:-1], hi_sizes)
-        )
-        out[tgt] = np.frombuffer(hi_buf, dtype=np.uint8)
-    return out[: int(off[-1])].tobytes(), total
-
-
-def pfor_decode_values(
-    blob: bytes | memoryview,
-    offs: np.ndarray,
-    n_postings: int,
-    block_size: int,
-    from_block: int = 0,
-    to_block: int | None = None,
-) -> np.ndarray:
-    """Decode blocks ``[from_block, to_block)`` of a PFor stream → uint64.
-
-    ``offs`` is the chunk's per-block byte-offset array (``n_blocks + 1``
-    entries, relative to the blob start — the same ``*_off`` layout the
-    varint scheme stores), so no header walking is needed.  Decoding is
-    grouped by width: one gather + shift-or pass per distinct width, one
-    small loop over the (rare) blocks that carry exceptions.
-    """
-    arr = np.frombuffer(blob, dtype=np.uint8)
-    offs = np.asarray(offs, dtype=np.int64)
-    K = offs.size - 1
-    if to_block is None:
-        to_block = K
-    nb = to_block - from_block
-    if nb <= 0 or n_postings == 0:
-        return np.zeros(0, dtype=_U64)
-    m = np.full(K, block_size, dtype=np.int64)
-    m[K - 1] = n_postings - (K - 1) * block_size
-    m = m[from_block:to_block]
-    o = offs[from_block:to_block]
-    b = arr[o].astype(np.int64)
-    n_exc = arr[o + 1].astype(np.int64)
-    packed_bytes = (m * b + 7) // 8
-    out = np.zeros(int(m.sum()), dtype=_U64)
-    val_start = np.zeros(nb, dtype=np.int64)
-    np.cumsum(m[:-1], out=val_start[1:])
-
-    lo_byte = int(o.min())
-    hi_byte = int(offs[to_block])
-    # padded local window so every value's 8-byte read stays in bounds
-    window = np.zeros(hi_byte - lo_byte + 8, dtype=np.uint8)
-    window[: hi_byte - lo_byte] = arr[lo_byte:hi_byte]
-    for width in np.unique(b):
-        w = int(width)
-        if w == 0:
-            continue
-        sel = np.flatnonzero(b == width)
-        mm = m[sel]
-        within = np.arange(int(mm.sum())) - np.repeat(np.cumsum(mm) - mm, mm)
-        base_bit = np.repeat((o[sel] + 2 - lo_byte) * 8, mm) + within * w
-        tgt = np.repeat(val_start[sel], mm) + within
-        if w <= 56:
-            # gather each value's byte window (only the lanes the width can
-            # span), assemble little-endian, shift and mask
-            lanes = (7 + w - 1) // 8 + 1
-            p = base_bit >> 3
-            g = window[p[:, None] + np.arange(lanes)[None, :]]
-            raw = np.zeros(p.size, dtype=_U64)
-            for j in range(lanes):
-                raw |= g[:, j].astype(_U64) << _U64(8 * j)
-            vals = (raw >> (base_bit & 7).astype(_U64)) & (
-                (_U64(1) << _U64(w)) - _U64(1)
-            )
-        else:
-            mask = (
-                (_U64(1) << _U64(w)) - _U64(1) if w < 64 else ~_U64(0)
-            )
-            vals = np.zeros(base_bit.size, dtype=_U64)
-            for j in range(w):
-                bitpos = base_bit + j
-                bit = (window[bitpos >> 3] >> (bitpos & 7).astype(np.uint8)) & 1
-                vals |= bit.astype(_U64) << _U64(j)
-            vals &= mask
-        out[tgt] = vals
-    # exceptions, vectorized across blocks: gather all position bytes and
-    # all high-part varint sections with the repeat trick, decode the
-    # concatenated varints once, patch with a per-exception shift
-    exc_blocks = np.flatnonzero(n_exc)
-    if exc_blocks.size:
-        ne = n_exc[exc_blocks]
-        pos_sec = o[exc_blocks] + 2 + packed_bytes[exc_blocks]
-        within_e = np.arange(int(ne.sum())) - np.repeat(np.cumsum(ne) - ne, ne)
-        pos = arr[np.repeat(pos_sec, ne) + within_e].astype(np.int64)
-        hi_start = pos_sec + ne
-        hi_len = offs[from_block + exc_blocks + 1] - hi_start
-        wb = np.arange(int(hi_len.sum())) - np.repeat(
-            np.cumsum(hi_len) - hi_len, hi_len
-        )
-        hi_stream = arr[np.repeat(hi_start, hi_len) + wb]
-        highs = varint_decode(hi_stream.tobytes())
-        blk_of_exc = np.repeat(exc_blocks, ne)
-        out[val_start[blk_of_exc] + pos] |= highs << b[blk_of_exc].astype(
-            _U64
-        )
-    return out
-
-
 def bm25_tf_component(
     tfs: np.ndarray,
     dls: np.ndarray,
@@ -362,14 +111,11 @@ def encode_chunk(
     k1: float = BM25_K1,
     b: float = BM25_B,
     impact: bool = False,
-    codec: str = CODEC_VARINT,
 ) -> dict:
     """Encode one (term, salt) posting chunk. docIDs must be ascending.
 
     ``impact=True`` additionally emits the impact-ordered companion layout
-    (``encode_impact``) used by the Threshold-Algorithm scorer.
-    ``codec="pfor"`` bit-packs the three posting streams per block
-    (``pfor_encode_blocks``); block metadata is codec-independent."""
+    (``encode_impact``) used by the Threshold-Algorithm scorer."""
     n = int(doc_ids.size)
     doc_ids = np.ascontiguousarray(doc_ids, dtype=_U64)
     tfs = np.ascontiguousarray(tfs, dtype=_U64)
@@ -388,43 +134,6 @@ def encode_chunk(
     block_last = np.zeros(n_blocks, dtype=_U64)
     block_ub = np.zeros(n_blocks, dtype=np.float32)
     comp = bm25_tf_component(tfs, dls, avg_doc_len, k1, b) if n else np.zeros(0)
-    if codec == CODEC_PFOR:
-        bs_arr = np.asarray(block_starts, dtype=np.int64)
-        be_arr = np.asarray(block_bounds, dtype=np.int64)
-        blobs: dict[str, bytes] = {}
-        offsets: dict[str, np.ndarray] = {}
-        for name, stream in (
-            ("doc", deltas),
-            ("tf", tfs),
-            ("dl", dls),
-        ):
-            buf, sizes = pfor_encode_blocks(stream, bs_arr, be_arr)
-            o = np.zeros(n_blocks + 1, dtype=np.uint32)
-            np.cumsum(sizes, out=o[1:])
-            blobs[name], offsets[name] = buf, o
-        for bk, (s, e) in enumerate(zip(block_starts, block_bounds)):
-            block_last[bk] = doc_ids[e - 1]
-            block_ub[bk] = ub_float32(comp[s:e].max())
-        out = {
-            "n_postings": n,
-            "block_size": block_size,
-            "codec": CODEC_PFOR,
-            "doc_blob": blobs.get("doc", b""),
-            "tf_blob": blobs.get("tf", b""),
-            "dl_blob": blobs.get("dl", b""),
-            "doc_off": offsets.get("doc", np.zeros(1, dtype=np.uint32)),
-            "tf_off": offsets.get("tf", np.zeros(1, dtype=np.uint32)),
-            "dl_off": offsets.get("dl", np.zeros(1, dtype=np.uint32)),
-            "block_last": block_last,
-            "block_ub": block_ub,
-        }
-        if impact:
-            out.update(
-                encode_impact(
-                    doc_ids, tfs, dls, avg_doc_len, block_size, k1, b
-                )
-            )
-        return out
     for bk, (s, e) in enumerate(zip(block_starts, block_bounds)):
         doc_parts.append(varint_encode(deltas[s:e]))
         tf_parts.append(varint_encode(tfs[s:e]))
@@ -532,33 +241,12 @@ def impact_n_blocks(chunk: dict) -> int:
     return len(chunk["imp_cmax"])
 
 
-def _pfor_streams(
-    chunk: dict, from_block: int = 0, to_block: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(doc deltas, tfs, dls) of a PFor chunk's block range."""
-    n, bs = chunk["n_postings"], chunk["block_size"]
-    return (
-        pfor_decode_values(
-            chunk["doc_blob"], chunk["doc_off"], n, bs, from_block, to_block
-        ),
-        pfor_decode_values(
-            chunk["tf_blob"], chunk["tf_off"], n, bs, from_block, to_block
-        ),
-        pfor_decode_values(
-            chunk["dl_blob"], chunk["dl_off"], n, bs, from_block, to_block
-        ),
-    )
-
-
 def decode_chunk(chunk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full decode of one chunk → (doc_ids, tfs, dls)."""
     n = chunk["n_postings"]
     if n == 0:
         z = np.zeros(0, dtype=_U64)
         return z, z.copy(), z.copy()
-    if chunk.get("codec", CODEC_VARINT) == CODEC_PFOR:
-        deltas, tfs, dls = _pfor_streams(chunk)
-        return np.cumsum(deltas, dtype=_U64), tfs, dls
     deltas = varint_decode(chunk["doc_blob"])
     doc_ids = np.cumsum(deltas, dtype=_U64)
     tfs = varint_decode(chunk["tf_blob"])
@@ -569,9 +257,6 @@ def decode_chunk(chunk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def decode_block(chunk: dict, block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode a single block independently → (doc_ids, tfs, dls)."""
     base = chunk["block_last"][block - 1] if block > 0 else _U64(0)
-    if chunk.get("codec", CODEC_VARINT) == CODEC_PFOR:
-        deltas, tfs, dls = _pfor_streams(chunk, block, block + 1)
-        return np.cumsum(deltas, dtype=_U64) + base, tfs, dls
     do, to, lo = chunk["doc_off"], chunk["tf_off"], chunk["dl_off"]
     deltas = varint_decode(memoryview(chunk["doc_blob"])[do[block] : do[block + 1]])
     doc_ids = np.cumsum(deltas, dtype=_U64) + base
@@ -593,9 +278,6 @@ def decode_tail(
     thousands of small ``varint_decode`` calls; this is a handful.
     """
     base = chunk["block_last"][from_block - 1] if from_block > 0 else _U64(0)
-    if chunk.get("codec", CODEC_VARINT) == CODEC_PFOR:
-        deltas, tfs, dls = _pfor_streams(chunk, from_block)
-        return np.cumsum(deltas, dtype=_U64) + base, tfs, dls
     do, to, lo = chunk["doc_off"], chunk["tf_off"], chunk["dl_off"]
     deltas = varint_decode(memoryview(chunk["doc_blob"])[do[from_block] :])
     doc_ids = np.cumsum(deltas, dtype=_U64) + base

@@ -28,7 +28,8 @@ import time
 from .manifest import BuildManifest, protected_data_dirs
 from .storage import Store
 
-DATA_PARENTS = ("docs_tok", "segments", "termdict")
+# BM25 index data dirs, then the positions sidecar's (index/positions.py)
+DATA_PARENTS = ("docs_tok", "segments", "termdict", "pos_tok", "positions")
 
 
 def _newest_mtime(store: Store, parent: str, name: str) -> float | None:

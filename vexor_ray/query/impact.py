@@ -123,19 +123,6 @@ class _RandomAccess:
         return None
 
 
-def has_impact_layout(chunks_by_term: dict[str, list[dict]]) -> bool:
-    """True iff every non-empty chunk carries the impact companion layout."""
-    any_chunk = False
-    for chunks in chunks_by_term.values():
-        for c in chunks:
-            if not c["n_postings"]:
-                continue
-            any_chunk = True
-            if "imp_cmax" not in c:
-                return False
-    return any_chunk
-
-
 def impact_topk(
     terms: list[str],
     chunks_by_term: dict[str, list[dict]],

@@ -72,7 +72,7 @@ def rrf_fuse_orders(
 
 
 def _chunks_from_table(
-    tbl: pa.Table, block_size: int | None = None, codec_name: str = "varint"
+    tbl: pa.Table, block_size: int | None = None
 ) -> list[tuple[str, dict]]:
     """Chunk dicts from a segment-row table, zero-copy for blobs and lists."""
     tbl = tbl.combine_chunks()
@@ -89,7 +89,6 @@ def _chunks_from_table(
             "salt": int(salts[i]),
             "n_postings": int(n_postings[i]),
             "block_size": block_size,
-            "codec": codec_name,
             "doc_blob": memoryview(cols["doc_blob"][i].as_buffer()),
             "tf_blob": memoryview(cols["tf_blob"][i].as_buffer()),
             "dl_blob": memoryview(cols["dl_blob"][i].as_buffer()),
@@ -206,10 +205,14 @@ class Searcher:
         # fixed-size blocks) — lets the WAND drain map (block, pos) to a
         # global offset into a cached full-chunk decode
         self._block_size: int | None = cfg.get("block_size")
-        # posting-stream codec (manifest config; absent in legacy indexes
-        # → varint).  Decode dispatch is per chunk dict, so federation
-        # over mixed-codec member indexes needs nothing special.
-        self._codec: str = cfg.get("posting_codec") or "varint"
+        # posting streams are varint only: an index an earlier version
+        # built with another codec must be rebuilt, not misread
+        codec_name = cfg.get("posting_codec", "varint")
+        if codec_name != "varint":
+            raise ValueError(
+                f"index posting codec {codec_name!r} is no longer supported; "
+                "rebuild the index (varint posting streams)"
+            )
         # impact-ordered companion layout present?  (manifest config flag —
         # cheaper and earlier than probing chunks).  The imp_* columns are
         # only READ when a query actually routes to the TA scorer: on an
@@ -541,7 +544,7 @@ class Searcher:
             scale = gen["ub_scale"]
             found = []
             if has_base:
-                rows = _chunks_from_table(tbl, self._block_size, self._codec)
+                rows = _chunks_from_table(tbl, self._block_size)
             else:
                 rows = _imp_rows_from_table(tbl)
             for term, chunk in rows:
@@ -1594,25 +1597,18 @@ class Searcher:
         order = np.lexsort((doc_ids, -np.round(scores, 6)))
         fb_ids = doc_ids[order[:fb_docs]]
         rank_w = {int(d): fb_docs - r for r, d in enumerate(fb_ids)}
-        schema = self._docs_ds.schema.names
-        tok_cols = (
-            ["terms"] if "terms" in schema
-            else sorted(c for c in schema if c.startswith("terms_w"))
-        )
-        tf_cols = [c.replace("terms", "tfs") for c in tok_cols]
         tbl = self._docs_ds.to_table(
-            columns=["doc_id"] + tok_cols + tf_cols,
+            columns=["doc_id", "terms", "tfs"],
             filter=pc.field("doc_id").isin(pa.array(fb_ids, type=pa.uint64())),
         )
         qset = set(terms)
         weights: dict[str, int] = {}
         for row in tbl.to_pylist():
             w = rank_w[int(row["doc_id"])]
-            for tc, fc in zip(tok_cols, tf_cols):
-                for t, f in zip(row[tc] or [], row[fc] or []):
-                    if t in qset:
-                        continue
-                    weights[t] = weights.get(t, 0) + int(f) * w
+            for t, f in zip(row["terms"] or [], row["tfs"] or []):
+                if t in qset:
+                    continue
+                weights[t] = weights.get(t, 0) + int(f) * w
         ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
         return [t for t, _ in ranked[:fb_terms]]
 

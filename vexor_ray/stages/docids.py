@@ -20,8 +20,6 @@ global row offset without coordination.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -134,43 +132,3 @@ def read_with_doc_ids(
         num_cpus=0.99,
     )
 
-
-def assign_doc_ids(ds: ray.data.Dataset, id_col: str = "doc_id") -> ray.data.Dataset:
-    """Sort-based dense-rank docID assignment (legacy path, kept for tests).
-
-    Sorts by url and assigns ranks via the executed sort's ref-bundle
-    metadata (no extra round trips).  The lineage-based scheme above replaced
-    this in the build pipeline; this remains the reference implementation of
-    distributed zip-with-index.
-    """
-    import ray
-
-    @ray.remote(num_cpus=0)
-    def _block_rows(block) -> int:
-        return block.num_rows
-
-    @ray.remote
-    def _with_ids(block, offset: int, col: str) -> pa.Table:
-        if not isinstance(block, pa.Table):
-            block = pa.Table.from_pandas(block, preserve_index=False)
-        ids = pa.array(
-            np.arange(offset, offset + block.num_rows, dtype=np.uint64),
-            type=pa.uint64(),
-        )
-        return block.add_column(0, col, ids)
-
-    sorted_ds = ds.sort("url")
-    refs: list = []
-    counts: list[int] = []
-    for bundle in sorted_ds.iter_internal_ref_bundles():
-        for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
-            refs.append(block_ref)
-            if meta.num_rows is None:
-                counts.append(ray.get(_block_rows.remote(block_ref)))
-            else:
-                counts.append(meta.num_rows)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    out_refs = [
-        _with_ids.remote(r, int(off), id_col) for r, off in zip(refs, offsets)
-    ]
-    return ray.data.from_arrow_refs(out_refs)

@@ -42,7 +42,6 @@ class TokenizeDocs:
         doc_builder: str = "url_text",
         with_preview: bool = True,
         tokenizer: str = "regex",
-        num_waves: int = 0,
         embed_dim: int = 0,
         embed_mode: str = "word",
         embed_provider: dict | None = None,
@@ -73,78 +72,22 @@ class TokenizeDocs:
             from ..providers import make_provider
 
             self._provider = make_provider(embed_provider)
-        # num_waves > 1 → wave-bucketed output: per-doc term lists are split
-        # into ``terms_w{k}`` / ``tfs_w{k}`` by term-hash wave, so the
-        # posting build's per-wave read PRUNES to 1/W of the term data via
-        # parquet column selection instead of re-reading everything W times
-        self._num_waves = int(num_waves)
         # emit_positions → a ``poss`` column (1-based token positions per
         # distinct term, aligned with ``terms``) rides along in the docs
         # checkpoint, so the positions sidecar can build from THIS pass
         # instead of re-extracting and re-tokenizing the corpus.  The
         # position dict yields terms in first-appearance order — identical
         # to Counter insertion order — so terms/tfs stay bit-compatible.
-        if emit_positions and self._num_waves > 1:
-            raise ValueError(
-                "emit_positions is incompatible with wave_bucketed_tok "
-                "(positions align with the flat terms column)"
-            )
         self._emit_positions = bool(emit_positions)
         # per-actor metrics (exposed in logs; stage-level metrics are
         # aggregated from dataset counts in the manifest)
         self.n_docs = 0
         self.n_tokens = 0
 
-    @staticmethod
-    def _bucket_by_wave(
-        terms_col: list[list[str]], tfs_col: list[list[int]], W: int
-    ) -> dict[str, pa.Array]:
-        """Split per-doc (terms, tfs) lists into per-wave list columns.
-
-        Fully vectorized over the BATCH: one term-hash pass over the flat
-        unique-term array, then per-wave list reassembly from boolean masks
-        + bincount offsets (flat order is doc-major, so a mask preserves
-        per-doc ordering).  The earlier per-doc Python dict/append version
-        of this split tripled tokenize wall time at 400k pages — this one is
-        ~free relative to the regex tokenize itself.
-        """
-        import numpy as np
-
-        from ..hashing import hash_terms
-
-        n_docs = len(terms_col)
-        flat_terms = np.asarray(
-            [t for lst in terms_col for t in lst], dtype=object
-        )
-        flat_tfs = np.fromiter(
-            (f for lst in tfs_col for f in lst), dtype=np.uint32
-        )
-        lengths = np.fromiter((len(l) for l in terms_col), dtype=np.int64, count=n_docs)
-        parent = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-        waves = (
-            hash_terms(flat_terms) % np.uint64(W)
-            if flat_terms.size
-            else np.zeros(0, dtype=np.uint64)
-        )
-        cols: dict[str, pa.Array] = {}
-        for w in range(W):
-            mask = waves == np.uint64(w)
-            counts = np.bincount(parent[mask], minlength=n_docs)
-            offsets = np.zeros(n_docs + 1, dtype=np.int32)
-            np.cumsum(counts, out=offsets[1:])
-            cols[f"terms_w{w}"] = pa.ListArray.from_arrays(
-                pa.array(offsets), pa.array(flat_terms[mask], type=pa.string())
-            )
-            cols[f"tfs_w{w}"] = pa.ListArray.from_arrays(
-                pa.array(offsets), pa.array(flat_tfs[mask], type=pa.uint32())
-            )
-        return cols
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch.column("url").to_pylist()
         texts = batch.column("text").to_pylist()
         tokenize = self._tokenize
-        W = self._num_waves if self._num_waves > 1 else 1
         doc_lens: list[int] = []
         terms_col: list[list[str]] = []
         tfs_col: list[list[int]] = []
@@ -177,16 +120,11 @@ class TokenizeDocs:
         cols = {
             "url": pa.array(urls, type=pa.string()),
             "doc_len": pa.array(doc_lens, type=pa.uint32()),
+            "terms": pa.array(terms_col, type=pa.list_(pa.string())),
+            "tfs": pa.array(tfs_col, type=pa.list_(pa.uint32())),
         }
-        if W == 1:
-            cols["terms"] = pa.array(terms_col, type=pa.list_(pa.string()))
-            cols["tfs"] = pa.array(tfs_col, type=pa.list_(pa.uint32()))
-            if self._emit_positions:
-                cols["poss"] = pa.array(
-                    poss_col, type=pa.list_(pa.list_(pa.uint32()))
-                )
-        else:
-            cols.update(self._bucket_by_wave(terms_col, tfs_col, W))
+        if self._emit_positions:
+            cols["poss"] = pa.array(poss_col, type=pa.list_(pa.list_(pa.uint32())))
         if self._provider is not None:
             emb = self._provider.embed(docs).astype(np.float32, copy=False)
             cols["embedding"] = pa.array(
